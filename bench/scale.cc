@@ -23,11 +23,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "bench/bench_common.h"
 #include "src/apps/memcached.h"
 #include "src/base/logging.h"
+#include "src/base/rng.h"
+#include "src/base/zipf.h"
 #include "src/ebpf/assembler.h"
 #include "src/ebpf/helper_ids.h"
 #include "src/kernel/packet.h"
@@ -104,17 +107,42 @@ uint64_t SumField(const std::vector<ShardStats>& stats, uint64_t ShardStats::*f)
   return total;
 }
 
+// Traffic shape shared by every workload: Zipf-popular keys (paper: s =
+// 0.99) from a population of clients (flows), drawn per request from one
+// seeded stream.
+constexpr double kZipfTheta = 0.99;
+struct Traffic {
+  uint64_t clients = 0;
+  uint64_t key_space = 0;
+};
+
+// Fills the ctx buffer for request i and returns its flow hash (what the
+// caller would pass to ShardedRuntime::Submit).
+using ScaleBuilder =
+    std::function<uint64_t(uint64_t i, uint64_t key, uint64_t client, uint8_t* ctx)>;
+
 // One workload at one shard count: build the runtime, load, generate, and
 // collect the dispatcher counters.
-RunRow RunOne(int shards, const OpenLoopConfig& config, const Program& program,
-              const LoadOptions& lo, uint32_t ctx_size, const RequestBuilder& build) {
+RunRow RunOne(int shards, const OpenLoopConfig& config, const Traffic& traffic,
+              const Program& program, const LoadOptions& lo, uint32_t ctx_size,
+              const ScaleBuilder& build) {
   ShardedRuntime sharded{MakeOptions(shards)};
   auto ext = sharded.Load(program, lo);
   KFLEX_CHECK(ext.ok());
   const ShardPlacement& place = sharded.placement(*ext);
 
+  Rng rng(config.seed);
+  ZipfGenerator zipf(traffic.key_space, kZipfTheta);
+  auto request = [&](uint64_t i, uint8_t* ctx) {
+    uint64_t key = zipf.Next(rng);
+    uint64_t client = rng.Next() % traffic.clients;
+    return OpenLoopRequest{*ext, ctx_size, build(i, key, client, ctx)};
+  };
   RunRow row;
-  row.result = RunOpenLoop(sharded, *ext, config, ctx_size, build);
+  row.result = RunOpenLoop(sharded, config, ctx_size, request);
+  // Every workload here is well-formed: a cancelled or unattached request
+  // means it is misconfigured (e.g. writes outside the populated heap).
+  KFLEX_CHECK(row.result.cancelled == 0 && row.result.unattached == 0);
   row.safety = ShardSafetyName(place.safety);
   row.replicated = place.replicated;
   row.forwarded = SumField(row.result.shard_stats, &ShardStats::forwarded);
@@ -126,12 +154,13 @@ RunRow RunOne(int shards, const OpenLoopConfig& config, const Program& program,
 
 void PrintRow(const char* workload, int shards, const RunRow& row) {
   const OpenLoopResult& r = row.result;
+  const Histogram& latency = r.latency[0];
   std::printf(
       "  %-16s shards=%d  %-14s %-10s thpt=%8.3f Mops/s  p50=%7llu ns  "
       "p99=%8llu ns  fwd=%llu steal=%llu drop=%llu\n",
       workload, shards, row.safety.c_str(), row.replicated ? "replicated" : "pinned",
-      r.throughput_mops, static_cast<unsigned long long>(r.latency.Percentile(0.5)),
-      static_cast<unsigned long long>(r.latency.Percentile(0.99)),
+      r.throughput_mops, static_cast<unsigned long long>(latency.Percentile(0.5)),
+      static_cast<unsigned long long>(latency.Percentile(0.99)),
       static_cast<unsigned long long>(row.forwarded),
       static_cast<unsigned long long>(row.stolen),
       static_cast<unsigned long long>(row.dropped));
@@ -146,8 +175,8 @@ void AddJsonRow(BenchJson& json, const char* workload, int shards, const RunRow&
   j.fields.emplace_back("requests", static_cast<int64_t>(r.measured_requests));
   j.fields.emplace_back("throughput_kops",
                         static_cast<int64_t>(r.throughput_mops * 1000.0));
-  j.fields.emplace_back("p50_ns", static_cast<int64_t>(r.latency.Percentile(0.5)));
-  j.fields.emplace_back("p99_ns", static_cast<int64_t>(r.latency.Percentile(0.99)));
+  j.fields.emplace_back("p50_ns", static_cast<int64_t>(r.latency[0].Percentile(0.5)));
+  j.fields.emplace_back("p99_ns", static_cast<int64_t>(r.latency[0].Percentile(0.99)));
   j.fields.emplace_back("busy_ns", static_cast<int64_t>(r.simulated_busy_ns));
   j.fields.emplace_back("forwarded", static_cast<int64_t>(row.forwarded));
   j.fields.emplace_back("stolen", static_cast<int64_t>(row.stolen));
@@ -167,17 +196,18 @@ int Run(int argc, char** argv) {
   }
 
   OpenLoopConfig config;
-  config.clients = smoke ? 100'000 : 1'000'000;
   config.total_requests = smoke ? 20'000 : 120'000;
-  config.key_space = smoke ? 20'000 : 100'000;
+  Traffic traffic;
+  traffic.clients = smoke ? 100'000 : 1'000'000;
+  traffic.key_space = smoke ? 20'000 : 100'000;
 
   PrintHeader("Scaling: sharded dispatch, 1M clients, shard count 1/2/4/8",
               "replicated extensions scale near-linearly; serial-only stays flat "
               "(certificate-gated placement, §3.4 heap model per shard)");
   std::printf("  mode=%s clients=%llu requests=%llu keyspace=%llu zipf=%.2f\n\n",
-              smoke ? "smoke" : "full", static_cast<unsigned long long>(config.clients),
+              smoke ? "smoke" : "full", static_cast<unsigned long long>(traffic.clients),
               static_cast<unsigned long long>(config.total_requests),
-              static_cast<unsigned long long>(config.key_space), config.zipf_theta);
+              static_cast<unsigned long long>(traffic.key_space), kZipfTheta);
 
   BenchJson json;
   const int kShardCounts[] = {1, 2, 4, 8};
@@ -188,8 +218,7 @@ int Run(int argc, char** argv) {
   // The scatter array is a static region: stores outside the populated pages
   // would take the C2 not-present cancellation instead of executing.
   scatter_lo.heap_static_bytes = kScatterBaseOff + kScatterSlots * 8 + 32;
-  RequestBuilder scatter_build = [](uint64_t, uint64_t key, uint64_t client,
-                                    uint8_t* ctx, uint32_t) {
+  ScaleBuilder scatter_build = [](uint64_t, uint64_t key, uint64_t client, uint8_t* ctx) {
     uint32_t off = static_cast<uint32_t>(key % kScatterSlots) * 8;
     std::memcpy(ctx, &off, sizeof(off));
     // Packet workload: RSS steers by flow (client 5-tuple), not key.
@@ -197,7 +226,7 @@ int Run(int argc, char** argv) {
   };
   double guarded_1 = 0, guarded_8 = 0;
   for (int shards : kShardCounts) {
-    RunRow row = RunOne(shards, config, guarded, scatter_lo, kScatterCtxSize,
+    RunRow row = RunOne(shards, config, traffic, guarded, scatter_lo, kScatterCtxSize,
                         scatter_build);
     KFLEX_CHECK(shards == 1 || row.replicated);
     KFLEX_CHECK(row.dropped == 0);
@@ -215,8 +244,7 @@ int Run(int argc, char** argv) {
   Program memcached = BuildMemcachedExtension(mc_opts);
   LoadOptions mc_lo;
   mc_lo.heap_static_bytes = MemcachedLayout::kStaticBytes;
-  RequestBuilder mc_build = [](uint64_t i, uint64_t key, uint64_t client,
-                               uint8_t* ctx, uint32_t ctx_size) {
+  ScaleBuilder mc_build = [](uint64_t i, uint64_t key, uint64_t client, uint8_t* ctx) {
     bool is_set = (i % 10) == 0;
     ctx[kOffOp] = static_cast<uint8_t>(is_set ? KvOp::kSet : KvOp::kGet);
     ctx[kOffProto] = is_set ? kProtoTcp : kProtoUdp;
@@ -235,10 +263,10 @@ int Run(int argc, char** argv) {
       std::memcpy(ctx + kOffValue, &key, 8);
     }
     // KV workload: steer by key bytes so GETs land on the shard that SET.
-    return ShardHashKvCtx(ctx, ctx_size);
+    return ShardHashKvCtx(ctx, kCtxSize);
   };
   for (int shards : kShardCounts) {
-    RunRow row = RunOne(shards, config, memcached, mc_lo, kCtxSize, mc_build);
+    RunRow row = RunOne(shards, config, traffic, memcached, mc_lo, kCtxSize, mc_build);
     KFLEX_CHECK(row.dropped == 0);
     PrintRow("memcached", shards, row);
     AddJsonRow(json, "memcached_get_set", shards, row);
@@ -249,7 +277,7 @@ int Run(int argc, char** argv) {
   Program serial = ScatterProgram(/*locked=*/false);
   uint64_t serial_forwarded_8 = 0;
   for (int shards : kShardCounts) {
-    RunRow row = RunOne(shards, config, serial, scatter_lo, kScatterCtxSize,
+    RunRow row = RunOne(shards, config, traffic, serial, scatter_lo, kScatterCtxSize,
                         scatter_build);
     KFLEX_CHECK(!row.replicated);
     if (shards == 8) serial_forwarded_8 = row.forwarded;

@@ -84,17 +84,18 @@ int Run(int argc, char** argv) {
 
   TenantScenarioConfig config;
   config.num_shards = 4;
-  config.total_requests = smoke ? 6'000 : 24'000;
-  config.window = 256;
+  config.load.total_requests = smoke ? 6'000 : 24'000;
+  config.load.window = 256;
   config.adversary_period = 0;  // baseline first
   config.fuel_quantum_insns = 4'000;
 
   PrintHeader("Multi-tenant SLOs: lb + ddos guard + traceagg vs adversarial neighbor",
               "per-extension cancellation confines an abusive tenant: neighbors "
               "keep their SLOs while the offender is budget-cancelled (SS3.3/SS4.3)");
-  std::printf("  mode=%s shards=%d requests=%llu window=%u fuel=%llu\n\n",
+  std::printf("  mode=%s shards=%d requests=%llu window=%llu fuel=%llu\n\n",
               smoke ? "smoke" : "full", config.num_shards,
-              static_cast<unsigned long long>(config.total_requests), config.window,
+              static_cast<unsigned long long>(config.load.total_requests),
+              static_cast<unsigned long long>(config.load.window),
               static_cast<unsigned long long>(config.fuel_quantum_insns));
 
   auto alone = RunTenantScenario(config);
@@ -107,7 +108,7 @@ int Run(int argc, char** argv) {
   // Contended run: every 32nd request is the neighbor; arrivals replay at the
   // baseline's absolute rate so the comparison holds traffic constant.
   config.adversary_period = 32;
-  config.replay_rate_rps = alone->replay_rate_rps;
+  config.load.replay_rate_rps = alone->replay_rate_rps;
   auto mixed = RunTenantScenario(config);
   if (!mixed.ok()) {
     std::fprintf(stderr, "contended scenario failed: %s\n",
@@ -138,7 +139,7 @@ int Run(int argc, char** argv) {
   const TenantSlo& adversary = mixed->tenants[3];
   PrintTenantRow(adversary, adversary);
   AddJsonRow(json, adversary, adversary, config.fuel_quantum_insns);
-  uint64_t windows = config.total_requests / config.window;
+  uint64_t windows = config.load.total_requests / config.load.window;
   if (adversary.cancelled < windows / 2) {
     std::fprintf(stderr, "  !! adversary under-cancelled: %llu of %llu windows\n",
                  static_cast<unsigned long long>(adversary.cancelled),

@@ -9,13 +9,10 @@ StatusOr<DsInstance> DsInstance::Create(Runtime& runtime, const DsBuilder& build
   ExtensionId heap_owner = 0;
   for (DsOp op : {DsOp::kUpdate, DsOp::kLookup, DsOp::kDelete}) {
     DsBuild build = builder(op, heap_size);
-    LoadOptions lo;
+    LoadOptions lo = LoadOptionsFor(engine);
     lo.kie = kie;
     lo.heap_static_bytes = build.static_bytes;
     lo.share_heap_with = heap_owner;
-    lo.optimize = engine.optimize;
-    lo.engine = engine.engine;
-    lo.jit = engine.jit;
     StatusOr<ExtensionId> id = runtime.Load(build.program, lo);
     if (!id.ok()) {
       return Status(id.status().code(),

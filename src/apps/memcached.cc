@@ -270,12 +270,9 @@ StatusOr<KflexMemcachedDriver> KflexMemcachedDriver::Create(
     const EngineChoice& engine) {
   kernel.sockets().Bind(kServerIp, kServerPort, kProtoUdp);
   Program program = BuildMemcachedExtension(options);
-  LoadOptions lo;
+  LoadOptions lo = LoadOptionsFor(engine);
   lo.kie = kie;
   lo.heap_static_bytes = L::kStaticBytes;
-  lo.optimize = engine.optimize;
-  lo.engine = engine.engine;
-  lo.jit = engine.jit;
   StatusOr<ExtensionId> id = kernel.runtime().Load(program, lo);
   if (!id.ok()) {
     return id.status();

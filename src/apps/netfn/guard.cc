@@ -151,12 +151,9 @@ StatusOr<std::unique_ptr<DdosGuardDriver>> DdosGuardDriver::Create(
   if (!program.ok()) {
     return program.status();
   }
-  LoadOptions lo;
+  LoadOptions lo = LoadOptionsFor(engine);
   lo.kie = kie;
   lo.heap_static_bytes = G::kStaticBytes;
-  lo.optimize = engine.optimize;
-  lo.engine = engine.engine;
-  lo.jit = engine.jit;
   auto id = kernel.runtime().Load(*program, lo);
   if (!id.ok()) {
     return id.status();

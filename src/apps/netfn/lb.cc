@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "src/base/logging.h"
+#include "src/base/rng.h"
 #include "src/dsl/emit.h"
 #include "src/ebpf/assembler.h"
 #include "src/kernel/packet.h"
@@ -20,17 +21,6 @@ namespace kflex {
 namespace {
 
 using L = LbLayout;
-
-// splitmix64 finalizer — the host-side twin of EmitHashFinalize, used to
-// weigh (slot, backend) pairs for the rendezvous ring.
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
 
 // Locked heap-counter bump at a constant offset. Clobbers R4, R5.
 void EmitCounterBump(Assembler& a, uint64_t off) {
@@ -186,7 +176,7 @@ std::vector<uint64_t> BuildLbRing(const std::vector<uint8_t>& healthy) {
         continue;
       }
       uint64_t w = Mix64((static_cast<uint64_t>(slot) << 16) ^
-                         ((b + 1) * 0x9E3779B97F4A7C15ULL));
+                         ((b + 1) * kGoldenGamma));
       if (!any || w > best_weight) {
         any = true;
         best_weight = w;
@@ -232,12 +222,9 @@ StatusOr<std::unique_ptr<L4LoadBalancerDriver>> L4LoadBalancerDriver::Create(
   if (!build.ok()) {
     return build.status();
   }
-  LoadOptions lo;
+  LoadOptions lo = LoadOptionsFor(engine);
   lo.kie = kie;
   lo.heap_static_bytes = build->static_bytes;
-  lo.optimize = engine.optimize;
-  lo.engine = engine.engine;
-  lo.jit = engine.jit;
   auto id = kernel.runtime().Load(build->program, lo);
   if (!id.ok()) {
     return id.status();

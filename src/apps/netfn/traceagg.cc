@@ -64,12 +64,9 @@ StatusOr<std::unique_ptr<TraceAggDriver>> TraceAggDriver::Create(
   if (!program.ok()) {
     return program.status();
   }
-  LoadOptions lo;
+  LoadOptions lo = LoadOptionsFor(engine);
   lo.kie = kie;
   lo.heap_static_bytes = T::kStaticBytes;
-  lo.optimize = engine.optimize;
-  lo.engine = engine.engine;
-  lo.jit = engine.jit;
   auto id = kernel.runtime().Load(*program, lo);
   if (!id.ok()) {
     return id.status();

@@ -133,11 +133,8 @@ void RunOnce(const RunEnv& env, const std::vector<std::string>& specs,
     }
   }
 
-  LoadOptions lo;
+  LoadOptions lo = LoadOptionsFor(env.engine.choice);
   lo.verify.audit_replay = true;
-  lo.optimize = env.engine.choice.optimize;
-  lo.engine = env.engine.choice.engine;
-  lo.jit = env.engine.choice.jit;
   lo.heap_static_bytes =
       std::min<uint64_t>(MaxHeapVarEnd(env.witness), env.witness.heap_size);
 

@@ -9,13 +9,20 @@
 
 namespace kflex {
 
-// splitmix64: used for seeding and hashing seeds.
-inline uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+// The splitmix64 increment (2^64 / golden ratio).
+inline constexpr uint64_t kGoldenGamma = 0x9E3779B97F4A7C15ULL;
+
+// splitmix64 finalizer: full-avalanche 64-bit mix. The host-side hash of
+// every flow, seed and rendezvous weight; EmitHashFinalize is its bytecode
+// twin.
+inline uint64_t Mix64(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
 }
+
+// splitmix64 step: used for seeding and hashing seeds.
+inline uint64_t SplitMix64(uint64_t& state) { return Mix64(state += kGoldenGamma); }
 
 // xorshift64* generator. Small, fast, good enough statistical quality for
 // workload generation; identical algorithm is re-implemented in extension

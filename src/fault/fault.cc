@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/base/rng.h"
 #include "src/obs/obs.h"
 
 namespace kflex {
@@ -26,13 +27,6 @@ constexpr const char* kCatalog[] = {
     "lock.delay",      // SpinLockOps::Acquire: deterministic waiter delay
     "shard.enqueue",   // ShardedRuntime::Submit: ingress treated as full
 };
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 bool ParseU64(std::string_view s, uint64_t* out) {
   if (s.empty() || s.size() > 19) {
@@ -182,7 +176,8 @@ bool FaultScheduleFires(const FaultPolicy& policy, uint64_t hit) {
       // Counter-based hash: the schedule is a pure function of (seed, hit),
       // i.e. precomputed in the mathematical sense — nothing is sampled at
       // fire time, and hit K fires identically on every replay.
-      return SplitMix64(policy.seed ^ SplitMix64(hit)) % 1'000'000 < policy.prob_ppm;
+      return Mix64((policy.seed ^ Mix64(hit + kGoldenGamma)) + kGoldenGamma) % 1'000'000 <
+             policy.prob_ppm;
   }
   return false;
 }

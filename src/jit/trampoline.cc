@@ -94,11 +94,13 @@ VmResult JitRun(const JitProgram& prog, VmEnv& env) {
   // non-consuming query, so probing it never shifts an injection schedule.
   bool slow = ObsTraceEnabled() || ObsMetricsEnabled() || env.helper_trace != nullptr;
   if (!slow) {
-    FaultRegistry& faults = FaultRegistry::Instance();
-    const FaultPoint* ret_err = faults.Find("helper.ret_err");
-    const FaultPoint* map_update = faults.Find("map.update");
-    slow = (ret_err != nullptr && ret_err->armed()) ||
-           (map_update != nullptr && map_update->armed());
+    // Resolved once (as KFLEX_FAULT_FIRE does); armed() stays a per-invoke
+    // relaxed load so a point armed after load still forces the bail.
+    static const FaultPoint* const ret_err =
+        &FaultRegistry::Instance().Point("helper.ret_err");
+    static const FaultPoint* const map_update =
+        &FaultRegistry::Instance().Point("map.update");
+    slow = ret_err->armed() || map_update->armed();
   }
   st.slow_flags = slow ? 1 : 0;
 

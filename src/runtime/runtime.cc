@@ -220,11 +220,8 @@ int64_t Runtime::Unwind(Extension& ext, VmEnv& env, size_t fault_pc) {
   // Policy (§4.3): cancellation unloads the extension everywhere, but the
   // heap is preserved for the user-space application.
   ext.unloaded.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(ext.stats_mu);
-    ext.stats.cancellations++;
-    ext.stats.resources_released_on_cancel += released;
-  }
+  ext.cancellations.fetch_add(1, std::memory_order_relaxed);
+  ext.resources_released_on_cancel.fetch_add(released, std::memory_order_relaxed);
   int64_t verdict = HookDefaultVerdict(ext.iprog.program.hook);
   if (ext.cancel_cb) {
     verdict = ext.cancel_cb(verdict);
@@ -297,10 +294,7 @@ InvokeResult Runtime::Invoke(ExtensionId id, int cpu, uint8_t* ctx, uint32_t ctx
   result.outcome = vm.outcome;
   result.fault_pc = vm.fault_pc;
   result.fault_kind = vm.fault_kind;
-  {
-    std::lock_guard<std::mutex> lock(ext->stats_mu);
-    ext->stats.invocations++;
-  }
+  ext->invocations.fetch_add(1, std::memory_order_relaxed);
 
   struct ObsRestore {
     const uint32_t flags;
@@ -360,12 +354,8 @@ void Runtime::Unload(ExtensionId id) {
     return;
   }
   ext->unloaded.store(true, std::memory_order_release);
-  uint64_t cancellations;
-  {
-    std::lock_guard<std::mutex> lock(ext->stats_mu);
-    cancellations = ext->stats.cancellations;
-  }
-  KFLEX_TRACE(ObsEvent::kRuntimeUnload, ext->obs_id, cancellations);
+  KFLEX_TRACE(ObsEvent::kRuntimeUnload, ext->obs_id,
+              ext->cancellations.load(std::memory_order_relaxed));
 }
 
 bool Runtime::IsUnloaded(ExtensionId id) const {
@@ -535,8 +525,12 @@ Runtime::ExtensionStats Runtime::GetStats(ExtensionId id) const {
   if (ext == nullptr) {
     return {};
   }
-  std::lock_guard<std::mutex> lock(ext->stats_mu);
-  return ext->stats;
+  ExtensionStats stats;
+  stats.invocations = ext->invocations.load(std::memory_order_relaxed);
+  stats.cancellations = ext->cancellations.load(std::memory_order_relaxed);
+  stats.resources_released_on_cancel =
+      ext->resources_released_on_cancel.load(std::memory_order_relaxed);
+  return stats;
 }
 
 void Runtime::WatchdogLoop() {

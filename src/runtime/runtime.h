@@ -90,6 +90,15 @@ struct EngineChoice {
   JitOptions jit;
 };
 
+// LoadOptions carrying `engine`'s selection, every other knob at its default.
+inline LoadOptions LoadOptionsFor(const EngineChoice& engine) {
+  LoadOptions lo;
+  lo.optimize = engine.optimize;
+  lo.engine = engine.engine;
+  lo.jit = engine.jit;
+  return lo;
+}
+
 // Post-load report of which engine an extension actually runs on.
 struct EngineInfo {
   ExecEngine requested = ExecEngine::kInterp;
@@ -235,8 +244,10 @@ class Runtime {
     std::atomic<bool> unloaded{false};
     std::function<int64_t(int64_t)> cancel_cb;
     std::vector<std::unique_ptr<std::atomic<uint64_t>>> running_since;  // per cpu, ns; 0 = idle
-    mutable std::mutex stats_mu;
-    ExtensionStats stats;
+    // ExtensionStats counters, bumped lock-free on the invoke path.
+    std::atomic<uint64_t> invocations{0};
+    std::atomic<uint64_t> cancellations{0};
+    std::atomic<uint64_t> resources_released_on_cancel{0};
   };
 
   Extension* Get(ExtensionId id);

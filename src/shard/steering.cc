@@ -12,7 +12,7 @@ uint64_t ShardHashBytes(const uint8_t* data, uint32_t len) {
     h ^= data[i];
     h *= 0x100000001B3ULL;
   }
-  return ShardMix64(h);
+  return Mix64(h + kGoldenGamma);
 }
 
 uint64_t ShardHashKvCtx(const uint8_t* ctx, uint32_t ctx_size) {
@@ -30,7 +30,7 @@ uint64_t ShardHashKvCtx(const uint8_t* ctx, uint32_t ctx_size) {
     std::memcpy(&dst_port, ctx + kOffDstPort, 2);
     uint64_t tuple = (static_cast<uint64_t>(src_ip) << 32) |
                      (static_cast<uint64_t>(src_port) << 16) | dst_port;
-    return ShardMix64(tuple);
+    return Mix64(tuple + kGoldenGamma);
   }
   return ShardHashBytes(ctx, ctx_size);
 }

@@ -11,22 +11,17 @@
 
 #include <cstdint>
 
+#include "src/base/rng.h"
+
 namespace kflex {
 
-// SplitMix64 finalizer: full-avalanche mix so low-entropy inputs (sequential
-// keys, small tuples) still spread evenly across shards.
-inline uint64_t ShardMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-// FNV-1a over the bytes, finalized with ShardMix64.
+// FNV-1a over the bytes, finalized with the seeded splitmix64 mix
+// Mix64(h + kGoldenGamma) so low-entropy inputs (sequential keys, small
+// tuples) still spread evenly across shards.
 uint64_t ShardHashBytes(const uint8_t* data, uint32_t len);
 
 // Flow hash for a 64-bit KV key (the sim/bench fast path).
-inline uint64_t ShardHashKey(uint64_t key) { return ShardMix64(key); }
+inline uint64_t ShardHashKey(uint64_t key) { return Mix64(key + kGoldenGamma); }
 
 // Flow hash for a KV ctx buffer (src/kernel/packet.h layout): the key bytes
 // when the request carries one, otherwise the (src_ip, src_port, dst_port)
@@ -39,7 +34,7 @@ inline int ShardForHash(uint64_t hash, int num_shards) {
   if (num_shards <= 1) {
     return 0;
   }
-  return static_cast<int>(ShardMix64(hash) % static_cast<uint64_t>(num_shards));
+  return static_cast<int>(Mix64(hash + kGoldenGamma) % static_cast<uint64_t>(num_shards));
 }
 
 }  // namespace kflex

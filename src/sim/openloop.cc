@@ -7,12 +7,17 @@
 
 #include "src/base/logging.h"
 #include "src/base/rng.h"
-#include "src/base/zipf.h"
+#include "src/kernel/costmodel.h"
 #include "src/obs/obs.h"
 
 namespace kflex {
 
 namespace {
+
+// Requests per arrival event (coalesced NIC RX, bursty independent clients).
+constexpr uint64_t kBurstSize = 8;
+// Percent of leading replay samples discarded as warm-up.
+constexpr uint64_t kWarmupPct = 10;
 
 struct Slot {
   InvokeResult result;
@@ -26,44 +31,42 @@ void WriteSlot(const InvokeResult& result, void* user) {
 struct Priced {
   uint32_t service_ns = 0;
   uint8_t shard = 0;
+  uint8_t cls = 0;
 };
 
 }  // namespace
 
-OpenLoopResult RunOpenLoop(ShardedRuntime& sharded, ShardExtId ext,
-                           const OpenLoopConfig& config, uint32_t ctx_size,
-                           const RequestBuilder& build) {
-  KFLEX_CHECK(config.total_requests > 0 && config.window > 0 && ctx_size > 0);
+OpenLoopResult RunOpenLoop(ShardedRuntime& sharded, const OpenLoopConfig& config,
+                           uint32_t ctx_slot_size, const RequestBuilder& build,
+                           const ResultObserver& observe) {
+  KFLEX_CHECK(config.total_requests > 0 && config.window > 0 && ctx_slot_size > 0);
   const int num_shards = sharded.num_shards();
-  const ShardPlacement& place = sharded.placement(ext);
-
-  Rng rng(config.seed);
-  ZipfGenerator zipf(config.key_space, config.zipf_theta);
+  const CostModel cost;
+  Runtime& rt = sharded.runtime();
 
   // ---- phase 1: capacity (real execution, per-shard busy accounting) ----
   OpenLoopResult result;
   std::vector<Priced> priced(config.total_requests);
   std::vector<uint64_t> busy(static_cast<size_t>(num_shards), 0);
-  std::vector<uint8_t> ctx_pool(config.window * ctx_size);
+  std::vector<uint8_t> ctx_pool(config.window * ctx_slot_size);
   std::vector<Slot> slots(config.window);
-  std::vector<uint64_t> flows(config.window);
+  std::vector<OpenLoopRequest> reqs(config.window);
+  std::vector<ShardExtId> cancelled_exts;
+  size_t num_classes = 1;
 
   uint64_t submitted = 0;
   while (submitted < config.total_requests) {
     uint64_t n = std::min(config.window, config.total_requests - submitted);
     for (uint64_t w = 0; w < n; w++) {
-      uint64_t i = submitted + w;
-      uint64_t key = zipf.Next(rng);
-      uint64_t client = rng.Next() % std::max<uint64_t>(1, config.clients);
-      uint8_t* ctx = ctx_pool.data() + w * ctx_size;
-      std::fill(ctx, ctx + ctx_size, 0);
-      flows[w] = build(i, key, client, ctx, ctx_size);
+      uint8_t* ctx = ctx_pool.data() + w * ctx_slot_size;
+      std::fill(ctx, ctx + ctx_slot_size, 0);
+      reqs[w] = build(submitted + w, ctx);
       slots[w].result = InvokeResult{};
       ShardRequest req;
-      req.ext = ext;
+      req.ext = reqs[w].ext;
       req.ctx = ctx;
-      req.ctx_size = ctx_size;
-      req.flow_hash = flows[w];
+      req.ctx_size = reqs[w].ctx_size;
+      req.flow_hash = reqs[w].flow_hash;
       req.on_done = WriteSlot;
       req.user = &slots[w];
       // The generator is open-loop in simulated time; in host time we
@@ -75,25 +78,48 @@ OpenLoopResult RunOpenLoop(ShardedRuntime& sharded, ShardExtId ext,
     }
     sharded.Flush();
     for (uint64_t w = 0; w < n; w++) {
-      uint64_t i = submitted + w;
+      const OpenLoopRequest& req = reqs[w];
       const InvokeResult& r = slots[w].result;
-      // A cancellation here means the workload is misconfigured (e.g. writes
-      // outside the populated heap); the generator has no recovery story.
-      KFLEX_CHECK(r.attached && !r.cancelled);
-      double plain = static_cast<double>(r.insns - r.instr_insns);
-      double instr =
-          static_cast<double>(r.instr_insns) * config.instrumentation_cost_factor;
-      uint64_t service =
-          config.fixed_ns +
-          static_cast<uint64_t>((plain + instr) * config.ns_per_insn);
-      int shard = place.replicated ? ShardForHash(flows[w], num_shards)
+      if (observe) {
+        observe(req, r);
+      }
+      // A request that found its extension unloaded is a cheap table-lookup
+      // reject: the kernel path only, no invocation.
+      uint64_t service = cost.XdpPathUdp();
+      if (!r.attached) {
+        result.unattached++;
+      } else {
+        if (r.cancelled) {
+          result.cancelled++;
+          if (std::find(cancelled_exts.begin(), cancelled_exts.end(), req.ext) ==
+              cancelled_exts.end()) {
+            cancelled_exts.push_back(req.ext);
+          }
+        }
+        service += cost.ComputeNs(r.insns, r.instr_insns);
+        result.total_insns += r.insns;
+      }
+      const ShardPlacement& place = sharded.placement(req.ext);
+      int shard = place.replicated ? ShardForHash(req.flow_hash, num_shards)
                                    : place.home_shard;
-      priced[i].service_ns = static_cast<uint32_t>(service);
-      priced[i].shard = static_cast<uint8_t>(shard);
+      Priced& p = priced[submitted + w];
+      p.service_ns = static_cast<uint32_t>(service);
+      p.shard = static_cast<uint8_t>(shard);
+      p.cls = req.cls;
+      num_classes = std::max<size_t>(num_classes, req.cls + 1u);
       busy[static_cast<size_t>(shard)] += service;
-      result.total_insns += r.insns;
     }
     submitted += n;
+    // Window boundary: re-arm what was cancelled (the operator's restart
+    // policy; cancellation fairness is judged per window).
+    for (ShardExtId ext : cancelled_exts) {
+      for (ExtensionId replica : sharded.placement(ext).replicas) {
+        if (rt.IsUnloaded(replica)) {
+          rt.Reset(replica);
+        }
+      }
+    }
+    cancelled_exts.clear();
     KFLEX_TRACE(ObsEvent::kSimProgress, submitted, 0);
   }
 
@@ -105,20 +131,23 @@ OpenLoopResult RunOpenLoop(ShardedRuntime& sharded, ShardExtId ext,
   result.throughput_mops = static_cast<double>(result.measured_requests) * 1000.0 /
                            static_cast<double>(result.simulated_busy_ns);
 
-  // ---- phase 2: latency replay at offered_load x capacity ----
+  // ---- phase 2: latency replay over per-shard virtual clocks ----
   // Burst arrivals on an exponential schedule: one burst every
-  // burst_size / offered_rate ns on average.
+  // kBurstSize / offered_rate ns on average.
   double offered_rate =  // requests per simulated ns
-      config.offered_load * static_cast<double>(result.measured_requests) /
-      static_cast<double>(result.simulated_busy_ns);
-  double mean_burst_gap =
-      static_cast<double>(std::max(1, config.burst_size)) / offered_rate;
+      config.replay_rate_rps > 0
+          ? config.replay_rate_rps * 1e-9
+          : config.offered_load * static_cast<double>(result.measured_requests) /
+                static_cast<double>(result.simulated_busy_ns);
+  result.replay_rate_rps = offered_rate * 1e9;
+  double mean_burst_gap = static_cast<double>(kBurstSize) / offered_rate;
+  result.latency.resize(num_classes);
   std::vector<uint64_t> clock(static_cast<size_t>(num_shards), 0);
   Rng replay_rng(config.seed ^ 0x5eedULL);
   double arrival = 0;
-  uint64_t warmup = config.total_requests * static_cast<uint64_t>(config.warmup_pct) / 100;
+  uint64_t warmup = config.total_requests * kWarmupPct / 100;
   for (uint64_t i = 0; i < config.total_requests; i++) {
-    if (i % static_cast<uint64_t>(std::max(1, config.burst_size)) == 0) {
+    if (i % kBurstSize == 0) {
       double u = replay_rng.NextDouble();
       arrival += -std::log(u <= 0 ? 1e-12 : u) * mean_burst_gap;
     }
@@ -128,9 +157,11 @@ OpenLoopResult RunOpenLoop(ShardedRuntime& sharded, ShardExtId ext,
     uint64_t done = start + p.service_ns;
     clock[p.shard] = done;
     if (i == warmup) {
-      result.latency.Reset();
+      for (Histogram& h : result.latency) {
+        h.Reset();
+      }
     }
-    result.latency.Record(done - at);
+    result.latency[p.cls].Record(done - at);
   }
 
   result.shard_stats = sharded.SnapshotStats();

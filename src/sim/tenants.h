@@ -1,17 +1,16 @@
 // Multi-tenant SLO harness (ROADMAP item 4, docs/scenarios.md): loads the
 // three netfn tenants (L4 load balancer, DDoS guard, trace aggregator) plus
 // an optional adversarial neighbor into ONE ShardedRuntime, drives
-// deterministic mixed traffic through the open-loop two-phase methodology
-// (src/sim/openloop.cc), and distills per-tenant SLOs — p99 latency, drop
-// rate, cancellation fairness — from per-extension obs metrics and runtime
-// stats.
+// deterministic mixed traffic through the open-loop engine (openloop.h, one
+// request class per tenant), and distills per-tenant SLOs — p99 latency,
+// drop rate, cancellation fairness — from per-extension obs metrics and
+// runtime stats.
 //
-// Unlike RunOpenLoop, the drive loop here *tolerates* cancellations: the
-// adversarial neighbor (an unbounded loop under CancellationMode::
+// The adversarial neighbor (an unbounded loop under CancellationMode::
 // kClockSampled) is budget-cancelled by fuel_quantum_insns on every
 // invocation, priced at the instructions it actually burned, and re-armed
-// (Runtime::Reset) at the next window boundary — which is exactly the
-// interference model the SLO assertions quantify.
+// by the engine's restart policy at the next window boundary — which is
+// exactly the interference model the SLO assertions quantify.
 #ifndef SRC_SIM_TENANTS_H_
 #define SRC_SIM_TENANTS_H_
 
@@ -19,35 +18,22 @@
 #include <string>
 #include <vector>
 
-#include "src/base/histogram.h"
 #include "src/base/status.h"
 #include "src/runtime/runtime.h"
 #include "src/shard/shard.h"
+#include "src/sim/openloop.h"
 
 namespace kflex {
 
 struct TenantScenarioConfig {
   int num_shards = 4;
-  uint64_t total_requests = 20000;
-  uint32_t window = 256;  // submit/flush batch (and neighbor re-arm cadence)
-  uint64_t seed = 42;
+  // Open-loop drive; the window is also the neighbor's re-arm cadence.
+  OpenLoopConfig load{.total_requests = 20000, .window = 256, .offered_load = 0.6};
   // Every adversary_period-th request goes to the adversarial neighbor;
   // 0 disables the neighbor entirely (the baseline run).
   uint32_t adversary_period = 16;
   // The neighbor's cancellation budget (RuntimeOptions::fuel_quantum_insns).
   uint64_t fuel_quantum_insns = 4000;
-  // Pricing (mirrors OpenLoopConfig).
-  uint64_t fixed_ns = 550;
-  double ns_per_insn = 2.5;
-  double instrumentation_cost_factor = 0.25;
-  // Latency replay.
-  double offered_load = 0.6;
-  int burst_size = 8;
-  int warmup_pct = 10;
-  // When nonzero, replay arrivals at this absolute rate (requests per
-  // second) instead of offered_load x measured capacity — lets the bench
-  // replay the baseline and the contended run at the same offered traffic.
-  double replay_rate_rps = 0;
   // Workload shape.
   uint64_t key_space = 4096;
   double zipf_theta = 0.99;
@@ -77,7 +63,6 @@ struct TenantSlo {
   uint64_t obs_invocations = 0;
   uint64_t obs_cancellations = 0;
   // Phase-2 simulated latency.
-  Histogram latency;
   uint64_t p50_ns = 0;
   uint64_t p99_ns = 0;
 };
@@ -85,7 +70,7 @@ struct TenantSlo {
 struct TenantScenarioResult {
   std::vector<TenantSlo> tenants;  // lb, guard, traceagg [, adversary]
   uint64_t simulated_busy_ns = 0;  // busiest shard
-  double capacity_rps = 0;         // requests / busiest-shard-busy
+  double capacity_rps = 0;         // the engine's saturated capacity
   double replay_rate_rps = 0;      // arrival rate used in phase 2
   std::vector<ShardStats> shard_stats;
   // ObsSnapshotToJson document with the dispatcher's "shards" array spliced

@@ -174,11 +174,8 @@ void RunGuardedScatter(const PointSpec& point, const EngineConfig& engine) {
 
   // Armed before Load so the jit.* points hit the code cache at compile time.
   ScopedFaultInjection faults{point.spec};
-  LoadOptions lo;
+  LoadOptions lo = LoadOptionsFor(engine.choice);
   lo.heap_static_bytes = 128;
-  lo.optimize = engine.choice.optimize;
-  lo.engine = engine.choice.engine;
-  lo.jit = engine.choice.jit;
   auto id = runtime.Load(ScatterProgram(desc->id), lo);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   ExpectEngineRecorded(runtime, *id, engine, point.point);
@@ -352,11 +349,8 @@ void RunShardedScatter(const PointSpec& point, const EngineConfig& engine) {
   ASSERT_TRUE(desc.ok());
 
   ScopedFaultInjection faults{point.spec};
-  LoadOptions lo;
+  LoadOptions lo = LoadOptionsFor(engine.choice);
   lo.heap_static_bytes = 128;
-  lo.optimize = engine.choice.optimize;
-  lo.engine = engine.choice.engine;
-  lo.jit = engine.choice.jit;
   auto id = sharded.Load(ScatterProgram(desc->id), lo);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   const ShardPlacement& place = sharded.placement(*id);
@@ -451,11 +445,8 @@ void RunTenantMix(const PointSpec& point, const EngineConfig& engine) {
   };
   Tenant tenants[4];
   auto lo_for = [&](uint64_t static_bytes) {
-    LoadOptions lo;
+    LoadOptions lo = LoadOptionsFor(engine.choice);
     lo.heap_static_bytes = static_bytes;
-    lo.optimize = engine.choice.optimize;
-    lo.engine = engine.choice.engine;
-    lo.jit = engine.choice.jit;
     return lo;
   };
   {
@@ -597,11 +588,8 @@ std::vector<std::string> ScatterFaultJournal(const char* spec,
   EXPECT_TRUE(desc.ok());
 
   ScopedFaultInjection faults{spec};
-  LoadOptions lo;
+  LoadOptions lo = LoadOptionsFor(choice);
   lo.heap_static_bytes = 128;
-  lo.optimize = choice.optimize;
-  lo.engine = choice.engine;
-  lo.jit = choice.jit;
   auto id = runtime.Load(ScatterProgram(desc->id), lo);
   EXPECT_TRUE(id.ok()) << id.status().ToString();
   if (!id.ok()) {

@@ -131,11 +131,8 @@ std::vector<std::string> RunScatter(const EngineConfig& engine) {
   Runtime runtime{opts};
   auto desc = runtime.maps().CreateArray(4, 8, 8);
   EXPECT_TRUE(desc.ok());
-  LoadOptions lo;
+  LoadOptions lo = LoadOptionsFor(engine.choice);
   lo.heap_static_bytes = 128;
-  lo.optimize = engine.choice.optimize;
-  lo.engine = engine.choice.engine;
-  lo.jit = engine.choice.jit;
   auto id = runtime.Load(ScatterProgram(desc->id), lo);
   EXPECT_TRUE(id.ok()) << id.status().ToString();
   uint8_t ctx[64] = {0};
@@ -180,10 +177,7 @@ std::vector<std::string> RunPageFault(const EngineConfig& engine) {
   a.Exit();
   auto p = a.Finish("golden_pagefault", Hook::kTracepoint, ExtensionMode::kKflex, 1 << 20);
   EXPECT_TRUE(p.ok()) << p.status().ToString();
-  LoadOptions lo;
-  lo.optimize = engine.choice.optimize;
-  lo.engine = engine.choice.engine;
-  lo.jit = engine.choice.jit;
+  LoadOptions lo = LoadOptionsFor(engine.choice);
   auto id = runtime.Load(*p, lo);
   EXPECT_TRUE(id.ok()) << id.status().ToString();
   uint8_t ctx[64] = {0};

@@ -17,6 +17,7 @@
 #include "src/ebpf/assembler.h"
 #include "src/ebpf/helper_ids.h"
 #include "src/ebpf/text_asm.h"
+#include "src/fault/fault.h"
 #include "src/jit/codegen.h"
 #include "src/jit/trampoline.h"
 #include "src/kernel/kernel.h"
@@ -815,6 +816,52 @@ TEST(Jit2, HashMapLookupInlineParity) {
       EXPECT_EQ(jit.result.verdict, lookup_key == 5 ? 999 : 0);
     }
   }
+}
+
+// A chaos point armed *after* the JIT load must still force the inline
+// helper fast paths to bail: the trampoline reads armed() on every invoke.
+// With helper.ret_err firing on every helper call, the bailed lookup returns
+// its documented NULL; an inline probe would have found the seeded value.
+TEST(Jit2, FaultArmedAfterLoadForcesInlineBail) {
+  SKIP_WITHOUT_JIT();
+  Runtime rt;
+  auto desc = rt.maps().CreateHash(4, 8, 16);
+  ASSERT_TRUE(desc.ok());
+  Assembler a;
+  a.LoadMapPtr(R1, desc->id);
+  a.StImm(BPF_W, R10, -4, 5);
+  a.Mov(R2, R10);
+  a.AddImm(R2, -4);
+  a.StImm(BPF_DW, R10, -16, 999);
+  a.Mov(R3, R10);
+  a.AddImm(R3, -16);
+  a.MovImm(R4, 0);
+  a.Call(kHelperMapUpdateElem);
+  a.LoadMapPtr(R1, desc->id);
+  a.Mov(R2, R10);
+  a.AddImm(R2, -4);
+  a.Call(kHelperMapLookupElem);
+  auto iff = a.IfImm(BPF_JNE, R0, 0);
+  a.Ldx(BPF_DW, R0, R0, 0);
+  a.EndIf(iff);
+  a.Exit();
+  auto p = a.Finish("h", Hook::kXdp, ExtensionMode::kEbpf, /*heap=*/0);
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  LoadOptions lo = V2Load(true, true, true);
+  lo.engine = ExecEngine::kJit2;
+  auto id = rt.Load(*p, lo);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EngineInfo info = rt.engine_info(*id);
+  ASSERT_EQ(info.used, ExecEngine::kJit2) << info.fallback_reason;
+  ASSERT_EQ(info.stats.inline_helper_sites, 1u);
+  KvPacket pkt;
+  EXPECT_EQ(rt.Invoke(*id, 0, pkt.data(), pkt.size()).verdict, 999);
+
+  ScopedFaultInjection faults{"helper.ret_err:every=1"};
+  InvokeResult r = rt.Invoke(*id, 0, pkt.data(), pkt.size());
+  EXPECT_EQ(r.verdict, 0) << "inline lookup ignored the armed helper.ret_err";
+  // Both helper calls went through the callout, so both hit the point.
+  EXPECT_EQ(FaultRegistry::Instance().Point("helper.ret_err").hits(), 2u);
 }
 
 // Array-map lookup inlining: statically-known map id + in-range/oob index.

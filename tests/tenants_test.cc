@@ -13,8 +13,8 @@ namespace {
 TenantScenarioConfig SmokeConfig() {
   TenantScenarioConfig config;
   config.num_shards = 2;
-  config.total_requests = 2000;
-  config.window = 128;
+  config.load.total_requests = 2000;
+  config.load.window = 128;
   config.fuel_quantum_insns = 3000;
   return config;
 }
@@ -38,7 +38,7 @@ TEST(TenantScenario, BaselineRunsCleanWithoutAdversary) {
     EXPECT_GE(slo.p99_ns, slo.p50_ns) << slo.name;
     total += slo.requests;
   }
-  EXPECT_EQ(total, config.total_requests);
+  EXPECT_EQ(total, config.load.total_requests);
   EXPECT_GT(result->capacity_rps, 0.0);
   EXPECT_EQ(result->shard_stats.size(), 2u);
 }
@@ -103,9 +103,41 @@ TEST(TenantScenario, MetricsJsonCarriesExtensionsAndShards) {
   EXPECT_NE(result->metrics_json.find("netfn_adversary"), std::string::npos);
 }
 
+TEST(TenantScenario, RunTooShortToReachEveryTenantReportsZeroLatency) {
+  // Ten requests never reach the adversary (every 16th request) and only
+  // the lane pattern decides which of the others they reach; tenants that
+  // saw no request report empty percentiles instead of reading a latency
+  // class the engine never produced.
+  TenantScenarioConfig config = SmokeConfig();
+  config.load.total_requests = 10;
+  auto result = RunTenantScenario(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->tenants.size(), 4u);
+  const TenantSlo& adversary = result->tenants[3];
+  EXPECT_EQ(adversary.requests, 0u);
+  EXPECT_EQ(adversary.p50_ns, 0u);
+  EXPECT_EQ(adversary.p99_ns, 0u);
+  uint64_t total = 0;
+  for (const TenantSlo& slo : result->tenants) {
+    total += slo.requests;
+  }
+  EXPECT_EQ(total, config.load.total_requests);
+  EXPECT_GT(result->tenants[0].p99_ns, 0u);
+
+  // Fewer requests than the guard's first lane: only the LB is reached.
+  config.load.total_requests = 3;
+  result = RunTenantScenario(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->tenants[0].requests, 3u);
+  for (size_t t = 1; t < result->tenants.size(); t++) {
+    EXPECT_EQ(result->tenants[t].requests, 0u) << result->tenants[t].name;
+    EXPECT_EQ(result->tenants[t].p99_ns, 0u) << result->tenants[t].name;
+  }
+}
+
 TEST(TenantScenario, RejectsBadConfig) {
   TenantScenarioConfig config = SmokeConfig();
-  config.total_requests = 0;
+  config.load.total_requests = 0;
   EXPECT_FALSE(RunTenantScenario(config).ok());
   config = SmokeConfig();
   config.num_shards = 0;

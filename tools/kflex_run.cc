@@ -198,8 +198,8 @@ int RunTenantsScenario(int invocations, ExecEngine engine, bool metrics_json,
                        bool trace_on, const std::string& trace_path) {
   TenantScenarioConfig config;
   config.num_shards = 2;
-  config.total_requests = invocations > 1 ? static_cast<uint64_t>(invocations) : 4000;
-  config.window = 128;
+  config.load.total_requests = invocations > 1 ? static_cast<uint64_t>(invocations) : 4000;
+  config.load.window = 128;
   config.adversary_period = 16;
   config.fuel_quantum_insns = 4000;
   config.engine.engine = engine;
