@@ -1,5 +1,6 @@
 #include "src/runtime/vm.h"
 
+#include <cstdint>
 #include <cstring>
 
 #include "src/ebpf/helper_ids.h"
@@ -65,7 +66,22 @@ uint8_t* Translate(VmEnv& env, uint64_t va, uint64_t size, MemFaultKind& fault) 
   return nullptr;
 }
 
+// Naturally aligned words are read with relaxed atomic loads (the same plain
+// mov on x86-64): the watchdog thread stores the heap's terminate slot
+// concurrently with the invocation reading it (ExtensionHeap::ArmTerminate).
 uint64_t LoadSized(const uint8_t* p, int size) {
+  if ((reinterpret_cast<uintptr_t>(p) & static_cast<uintptr_t>(size - 1)) == 0) {
+    switch (size) {
+      case 1:
+        return __atomic_load_n(p, __ATOMIC_RELAXED);
+      case 2:
+        return __atomic_load_n(reinterpret_cast<const uint16_t*>(p), __ATOMIC_RELAXED);
+      case 4:
+        return __atomic_load_n(reinterpret_cast<const uint32_t*>(p), __ATOMIC_RELAXED);
+      case 8:
+        return __atomic_load_n(reinterpret_cast<const uint64_t*>(p), __ATOMIC_RELAXED);
+    }
+  }
   uint64_t v = 0;
   std::memcpy(&v, p, static_cast<size_t>(size));
   return v;

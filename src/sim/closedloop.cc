@@ -13,6 +13,9 @@ namespace kflex {
 
 namespace {
 
+constexpr double kZipfTheta = 0.99;
+constexpr uint64_t kWarmupPct = 10;  // leading samples discarded as warm-up
+
 struct SendEvent {
   uint64_t time_ns;
   int client;
@@ -27,19 +30,19 @@ ClosedLoopResult RunClosedLoop(ServiceModel& model, const ClosedLoopConfig& conf
   KFLEX_CHECK(config.clients > 0);
 
   Rng rng(config.seed);
-  ZipfGenerator zipf(config.key_space, config.zipf_theta);
+  ZipfGenerator zipf(config.key_space, kZipfTheta);
 
   std::priority_queue<SendEvent, std::vector<SendEvent>, std::greater<SendEvent>> events;
   std::vector<uint64_t> busy_until(static_cast<size_t>(config.server_threads), 0);
 
   // Stagger the initial sends slightly so queues do not start in lockstep.
   for (int c = 0; c < config.clients; c++) {
-    events.push(SendEvent{rng.NextBounded(config.rtt_ns + 1), c});
+    events.push(SendEvent{rng.NextBounded(kClosedLoopRttNs + 1), c});
   }
 
   ClosedLoopResult result;
   uint64_t completed = 0;
-  uint64_t warmup_count = config.total_requests * static_cast<uint64_t>(config.warmup_pct) / 100;
+  uint64_t warmup_count = config.total_requests * kWarmupPct / 100;
   uint64_t measure_start_ns = 0;
   uint64_t last_completion_ns = 0;
   uint64_t next_background_ns =
@@ -68,12 +71,12 @@ ClosedLoopResult RunClosedLoop(ServiceModel& model, const ClosedLoopConfig& conf
     }
 
     int thread = ev.client % config.server_threads;
-    uint64_t arrival = ev.time_ns + config.rtt_ns / 2;
+    uint64_t arrival = ev.time_ns + kClosedLoopRttNs / 2;
     uint64_t start = std::max(arrival, busy_until[static_cast<size_t>(thread)]);
     uint64_t service = model.ServeNs(thread, op, key);
     uint64_t done = start + service;
     busy_until[static_cast<size_t>(thread)] = done;
-    uint64_t response_at = done + config.rtt_ns / 2;
+    uint64_t response_at = done + kClosedLoopRttNs / 2;
 
     completed++;
     // Coarse progress beacon (every 2^14 completions) so long closed-loop

@@ -33,17 +33,16 @@ struct BackgroundTask {
   std::function<uint64_t(uint64_t now_ns)> run;
 };
 
+// Client <-> server network round trip of every simulated request.
+inline constexpr uint64_t kClosedLoopRttNs = 10'000;
+
 struct ClosedLoopConfig {
   int server_threads = 8;
   int clients = 1024;  // paper: 64 threads x 16 clients
   uint64_t total_requests = 200'000;
   double get_fraction = 0.9;
   uint64_t key_space = 10'000;
-  double zipf_theta = 0.99;
-  uint64_t rtt_ns = 10'000;  // client <-> server network round trip
   uint64_t seed = 42;
-  // Fraction (percent) of leading samples discarded as warm-up.
-  int warmup_pct = 10;
   // Request mix override: when nonnull, returns the op for request i.
   std::function<KvOp(uint64_t i, uint64_t key)> op_for_request;
 };

@@ -5,6 +5,7 @@
 #ifndef SRC_VERIFIER_ANALYSIS_H_
 #define SRC_VERIFIER_ANALYSIS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -86,6 +87,15 @@ struct Analysis {
   size_t pruned_back_edges = 0;
   size_t pruned_object_entries = 0;
 };
+
+// True when the verifier's symbolic execution proved `pc` unreachable (a
+// constant-folded branch never pushed the dead side). Resource facts from
+// such code are not real: the runtime can never execute it. Always false
+// without verifier facts (`analysis` null, e.g. a rejected program).
+inline bool VerifierUnreached(const Analysis* analysis, size_t pc) {
+  return analysis != nullptr && pc < analysis->insn_visited.size() &&
+         analysis->insn_visited[pc] == 0;
+}
 
 }  // namespace kflex
 

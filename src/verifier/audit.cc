@@ -78,9 +78,7 @@ struct CheckTag {
 
 struct PathState {
   AbsRegs regs;
-  // Socket handle tags: acquire pc + 1; 0 = no handle.
-  std::array<size_t, kNumRegs> ref_reg{};
-  std::array<size_t, kStackSlotCount> ref_slot{};
+  SocketTags sockets;
   std::array<CheckTag, kNumRegs> chk{};
   std::vector<Obligation> open;
 };
@@ -100,34 +98,18 @@ class AuditDfs {
   }
 
  private:
-  bool VerifierUnreached(size_t pc) const {
-    return analysis_ != nullptr && pc < analysis_->insn_visited.size() &&
-           analysis_->insn_visited[pc] == 0;
-  }
-
   void CountPath() {
     if (++paths_explored_ >= opts_.max_paths) {
       stop_ = true;
     }
   }
 
-  static void KillSocket(PathState& st, size_t tag) {
-    st.open.erase(std::remove_if(st.open.begin(), st.open.end(),
-                                 [&](const Obligation& o) {
-                                   return o.clause->resource == ResourceKind::kSocket &&
-                                          o.acquire_pc + 1 == tag;
-                                 }),
-                  st.open.end());
-    for (size_t& t : st.ref_reg) {
-      if (t == tag) {
-        t = 0;
-      }
-    }
-    for (size_t& t : st.ref_slot) {
-      if (t == tag) {
-        t = 0;
-      }
-    }
+  // Discharges the socket obligation acquired with `tag` (SocketTags
+  // encoding), or every socket obligation when `tag` is 0.
+  static void DischargeSocket(PathState& st, size_t tag) {
+    std::erase_if(st.open, [&](const Obligation& o) {
+      return o.clause->resource == ResourceKind::kSocket && (tag == 0 || o.acquire_pc + 1 == tag);
+    });
   }
 
   static void RetireCheck(PathState& st, const CheckTag& tag) {
@@ -149,12 +131,12 @@ class AuditDfs {
       } else {
         size_t tag = o.acquire_pc + 1;
         for (int i = 0; i < kNumRegs && r.reg < 0; i++) {
-          if (st.ref_reg[static_cast<size_t>(i)] == tag) {
+          if (st.sockets.reg[static_cast<size_t>(i)] == tag) {
             r.reg = i;
           }
         }
         for (int s = 0; s < kStackSlotCount && r.reg < 0 && r.stack_slot < 0; s++) {
-          if (st.ref_slot[static_cast<size_t>(s)] == tag) {
+          if (st.sockets.slot[static_cast<size_t>(s)] == tag) {
             r.stack_slot = s;
           }
         }
@@ -233,45 +215,24 @@ class AuditDfs {
     const Insn& insn = prog_.insns[pc];
     const HelperContract* contract = FindHelperContract(insn.imm);
     if (contract != nullptr && contract->releases == ResourceKind::kSocket) {
-      size_t tag = st.ref_reg[R1];
-      if (tag != 0) {
-        KillSocket(st, tag);
-      } else {
-        // Released an untracked handle: conservatively discharge every open
-        // socket obligation (mirrors the ref-leak pass).
-        st.open.erase(std::remove_if(st.open.begin(), st.open.end(),
-                                     [](const Obligation& o) {
-                                       return o.clause->resource == ResourceKind::kSocket;
-                                     }),
-                      st.open.end());
-        st.ref_reg.fill(0);
-        st.ref_slot.fill(0);
-      }
+      // A release through an untracked handle (tag 0) conservatively
+      // discharges every open socket obligation, as the ref-leak pass does.
+      DischargeSocket(st, st.sockets.Release());
     }
     if (contract != nullptr && contract->releases == ResourceKind::kLock) {
-      if (st.regs.r[R1].kind == AbsVal::kHeapOff) {
-        uint64_t off = st.regs.r[R1].v;
-        st.open.erase(std::remove_if(st.open.begin(), st.open.end(),
-                                     [&](const Obligation& o) {
-                                       return o.clause->resource == ResourceKind::kLock &&
-                                              o.lock_off_known && o.lock_off == off;
-                                     }),
-                      st.open.end());
-      } else {
-        // Unlock through an untracked address: discharge every lock.
-        st.open.erase(std::remove_if(st.open.begin(), st.open.end(),
-                                     [](const Obligation& o) {
-                                       return o.clause->resource == ResourceKind::kLock;
-                                     }),
-                      st.open.end());
-      }
+      // An unlock through an untracked address discharges every lock.
+      const AbsVal& lock = st.regs.r[R1];
+      std::erase_if(st.open, [&](const Obligation& o) {
+        return o.clause->resource == ResourceKind::kLock &&
+               (lock.kind != AbsVal::kHeapOff || (o.lock_off_known && o.lock_off == lock.v));
+      });
     }
+    st.sockets.Step(insn);
     for (int r = R0; r <= R5; r++) {
-      st.ref_reg[static_cast<size_t>(r)] = 0;
       st.chk[static_cast<size_t>(r)] = CheckTag{};
     }
     const ContractClause* clause = FindClause(insn.imm);
-    if (clause != nullptr && !VerifierUnreached(pc)) {
+    if (clause != nullptr && !VerifierUnreached(analysis_, pc)) {
       if (clause->kind == ObligationKind::kRelease) {
         Obligation o;
         o.clause = clause;
@@ -283,7 +244,7 @@ class AuditDfs {
         }
         st.open.push_back(o);
         if (clause->resource == ResourceKind::kSocket) {
-          st.ref_reg[R0] = pc + 1;
+          st.sockets.reg[R0] = pc + 1;
         }
       } else {
         st.chk[R0] = CheckTag{clause, pc};
@@ -297,70 +258,43 @@ class AuditDfs {
     if (insn.IsAlu()) {
       if (insn.AluOpField() == BPF_MOV && insn.SrcField() == BPF_X &&
           insn.Class() == BPF_ALU64) {
-        st.ref_reg[insn.dst] = st.ref_reg[insn.src];
         st.chk[insn.dst] = st.chk[insn.src];
       } else {
-        st.ref_reg[insn.dst] = 0;
         st.chk[insn.dst] = CheckTag{};
       }
     } else if (insn.IsLdImm64()) {
-      st.ref_reg[insn.dst] = 0;
       st.chk[insn.dst] = CheckTag{};
     } else if (insn.IsLoad()) {
       if (insn.src != R10 && st.chk[insn.src].clause != nullptr) {
         EmitCheckFinding(st, pc, insn.src);
       }
-      int slot = -1;
-      if (insn.src == R10 && insn.AccessSize() == 8 && (insn.off + kStackSize) % 8 == 0) {
-        slot = Liveness::SlotForOffset(insn.off);
-      }
-      st.ref_reg[insn.dst] = slot >= 0 ? st.ref_slot[static_cast<size_t>(slot)] : 0;
       st.chk[insn.dst] = CheckTag{};
     } else if (insn.IsStore()) {
       if (insn.dst != R10 && st.chk[insn.dst].clause != nullptr) {
         EmitCheckFinding(st, pc, insn.dst);
-      }
-      if (insn.dst == R10) {
-        int first = Liveness::SlotForOffset(insn.off);
-        int last = Liveness::SlotForOffset(insn.off + insn.AccessSize() - 1);
-        bool full = insn.AccessSize() == 8 && (insn.off + kStackSize) % 8 == 0;
-        if (full && first >= 0 && insn.Class() == BPF_STX) {
-          st.ref_slot[static_cast<size_t>(first)] = st.ref_reg[insn.src];
-        } else if (first >= 0 && last >= 0) {
-          for (int s = first; s <= last; s++) {
-            st.ref_slot[static_cast<size_t>(s)] = 0;
-          }
-        }
       }
     } else if (insn.IsAtomic()) {
       if (insn.dst != R10 && st.chk[insn.dst].clause != nullptr) {
         EmitCheckFinding(st, pc, insn.dst);
       }
       if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-        st.ref_reg[R0] = 0;
         st.chk[R0] = CheckTag{};
       } else if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-        st.ref_reg[insn.src] = 0;
         st.chk[insn.src] = CheckTag{};
       }
     }
+    st.sockets.Step(insn);
   }
 
   // Retirements implied by taking one edge of a JMP64 null check (imm 0,
   // JEQ/JNE). edge 0 = jump taken, edge 1 = fall-through.
   static void ApplyEdge(PathState& st, const Insn& insn, int edge) {
-    if (insn.SrcField() != BPF_K || insn.imm != 0 || insn.Class() != BPF_JMP) {
+    if (!IsNullCheck(insn)) {
       return;
     }
-    uint8_t op = insn.AluOpField();
-    if (op != BPF_JEQ && op != BPF_JNE) {
-      return;
-    }
-    bool null_edge = (op == BPF_JEQ && edge == 0) || (op == BPF_JNE && edge == 1);
-    size_t tag = st.ref_reg[insn.dst];
-    if (tag != 0 && null_edge) {
+    if (size_t tag = st.sockets.RetireNullEdge(insn, edge); tag != 0) {
       // The handle is NULL on this edge: the acquisition never happened.
-      KillSocket(st, tag);
+      DischargeSocket(st, tag);
     }
     if (st.chk[insn.dst].clause != nullptr) {
       // Either edge of a null check discharges the check obligation.
@@ -390,7 +324,7 @@ class AuditDfs {
       path_.push_back({pc, -1});
       const Insn& insn = prog_.insns[pc];
       if (insn.IsExit()) {
-        if (!VerifierUnreached(pc)) {
+        if (!VerifierUnreached(analysis_, pc)) {
           EmitExitFindings(st, pc);
         }
         CountPath();

@@ -49,11 +49,11 @@ namespace {
 // unknown, and unknown never produces a finding.
 enum class PtrClass : uint8_t { kUnknown = 0, kMapValue, kHeapPtr, kCtx, kStack };
 
-// The forward fixpoint state: the must-held lockset (meet = intersection,
-// as in lint.cc's lock-order pass), pointer provenance per register, and
-// constant/lock-identity propagation (AbsRegs) carried ACROSS blocks —
-// unlike the block-local lint passes, lock identities loaded once in the
-// entry block survive into the branches that acquire them.
+// The forward fixpoint state: the must-held lockset (meet = intersection;
+// lint's lock-order pass is a view over it), pointer provenance per
+// register, and constant/lock-identity propagation (AbsRegs) carried ACROSS
+// blocks — unlike the block-local lint passes, lock identities loaded once
+// in the entry block survive into the branches that acquire them.
 struct ConcState {
   bool known = false;
   std::set<uint64_t> held;
@@ -99,11 +99,6 @@ bool MeetConcState(ConcState& into, const ConcState& from) {
     changed |= MeetAbsVal(into.regs.r[i], from.regs.r[i]);
   }
   return changed;
-}
-
-bool VerifierUnreached(const Analysis* analysis, size_t pc) {
-  return analysis != nullptr && pc < analysis->insn_visited.size() &&
-         analysis->insn_visited[pc] == 0;
 }
 
 // Region of the memory access at `pc` with base-register class `cls`:
@@ -172,25 +167,19 @@ class ConcurrencyAnalyzer {
       }
     }
 
-    ConcurrencyReport report;
-    report.map_accesses = map_accesses_;
-    report.heap_accesses = heap_accesses_;
-    report.atomic_accesses = atomic_accesses_;
-    report.locked_accesses = locked_accesses_;
-    report.unprotected_map_accesses = unprotected_map_;
-    report.unprotected_heap_accesses = unprotected_heap_;
-    report.findings = std::move(findings_);
-    std::sort(report.findings.begin(), report.findings.end(),
+    std::sort(report_.findings.begin(), report_.findings.end(),
               [](const ConcurrencyFinding& a, const ConcurrencyFinding& b) {
                 return std::tie(a.pc, a.kind, a.message) < std::tie(b.pc, b.kind, b.message);
               });
     for (auto& [key, edge] : edges_) {
-      report.edges.push_back(std::move(edge));
+      report_.edges.push_back(std::move(edge));
     }
-    report.safety = unprotected_map_ + unprotected_heap_ > 0 ? ShardSafety::kSerialOnly
-                    : locked_accesses_ > 0                   ? ShardSafety::kLockProtected
-                                                             : ShardSafety::kRaceFree;
-    return report;
+    report_.safety =
+        report_.unprotected_map_accesses + report_.unprotected_heap_accesses > 0
+            ? ShardSafety::kSerialOnly
+        : report_.locked_accesses > 0 ? ShardSafety::kLockProtected
+                                      : ShardSafety::kRaceFree;
+    return std::move(report_);
   }
 
  private:
@@ -243,32 +232,32 @@ class ConcurrencyAnalyzer {
 
   void RecordAccess(size_t pc, MemRegion region, bool atomic, const std::set<uint64_t>& held) {
     if (region == MemRegion::kMapValue) {
-      map_accesses_++;
+      report_.map_accesses++;
     } else if (region == MemRegion::kHeap) {
-      heap_accesses_++;
+      report_.heap_accesses++;
     } else {
       return;
     }
     if (atomic) {
-      atomic_accesses_++;
+      report_.atomic_accesses++;
       return;
     }
     if (!held.empty()) {
-      locked_accesses_++;
+      report_.locked_accesses++;
       return;
     }
     if (region == MemRegion::kMapValue) {
-      unprotected_map_++;
-      findings_.push_back({ConcurrencyFinding::Kind::kUnlockedMapAccess, pc,
-                           "shared map value accessed with no lock held: concurrent "
-                           "invocations race on this word",
-                           WitnessTo(pc)});
+      report_.unprotected_map_accesses++;
+      report_.findings.push_back({ConcurrencyFinding::Kind::kUnlockedMapAccess, pc,
+                                  "shared map value accessed with no lock held: concurrent "
+                                  "invocations race on this word",
+                                  WitnessTo(pc)});
     } else {
-      unprotected_heap_++;
-      findings_.push_back({ConcurrencyFinding::Kind::kUnlockedHeapAccess, pc,
-                           "extension heap accessed with no lock held: unsafe if "
-                           "invocations of this extension run concurrently",
-                           WitnessTo(pc)});
+      report_.unprotected_heap_accesses++;
+      report_.findings.push_back({ConcurrencyFinding::Kind::kUnlockedHeapAccess, pc,
+                                  "extension heap accessed with no lock held: unsafe if "
+                                  "invocations of this extension run concurrently",
+                                  WitnessTo(pc)});
     }
   }
 
@@ -297,6 +286,13 @@ class ConcurrencyAnalyzer {
                 if (edges_.count(key) == 0) {
                   edges_.emplace(key, LockOrderEdge{outer, off, pc, WitnessTo(pc)});
                 }
+              }
+              if (s.held.count(off) != 0) {
+                report_.findings.push_back(
+                    {ConcurrencyFinding::Kind::kLockCycle, pc,
+                     "deadlock: lock at heap offset " + std::to_string(off) +
+                         " re-acquired while already held",
+                     WitnessTo(pc)});
               }
             }
             s.held.insert(off);
@@ -369,7 +365,7 @@ class ConcurrencyAnalyzer {
                 c.size == static_cast<uint32_t>(insn.AccessSize())) {
               const char* what =
                   c.region == MemRegion::kMapValue ? "shared map value" : "extension heap word";
-              findings_.push_back(
+              report_.findings.push_back(
                   {c.region == MemRegion::kMapValue ? ConcurrencyFinding::Kind::kNonAtomicMapRmw
                                                     : ConcurrencyFinding::Kind::kNonAtomicHeapRmw,
                    pc,
@@ -430,14 +426,8 @@ class ConcurrencyAnalyzer {
   const Analysis* analysis_;
 
   std::vector<ConcState> entry_;
-  std::vector<ConcurrencyFinding> findings_;
+  ConcurrencyReport report_;  // counters and findings; edges fill in at the end
   std::map<std::pair<uint64_t, uint64_t>, LockOrderEdge> edges_;
-  size_t map_accesses_ = 0;
-  size_t heap_accesses_ = 0;
-  size_t atomic_accesses_ = 0;
-  size_t locked_accesses_ = 0;
-  size_t unprotected_map_ = 0;
-  size_t unprotected_heap_ = 0;
 };
 
 }  // namespace

@@ -56,15 +56,15 @@ enum class ShardSafety : uint8_t {
 const char* ShardSafetyName(ShardSafety safety);
 
 // One concurrency defect (or advisory) found by the analysis. The lint
-// front ends (lockset / atomicity / lock-cycle passes in lint.cc) select by
-// kind and assign severities; the raw report keeps everything.
+// views (lockset / atomicity / lock-order passes in lint.cc) select by kind
+// and assign severities; the raw report keeps everything.
 struct ConcurrencyFinding {
   enum class Kind : uint8_t {
     kUnlockedMapAccess = 0,  // map value touched with an empty lockset
     kUnlockedHeapAccess,     // extension heap touched with an empty lockset
     kNonAtomicMapRmw,        // load->alu->store on a map value, no lock/atomic
     kNonAtomicHeapRmw,       // load->alu->store on the heap, no lock/atomic
-    kLockCycle,              // cycle in the lock-acquisition graph
+    kLockCycle,              // lock re-acquired while already held (a self-cycle)
   };
 
   Kind kind = Kind::kUnlockedMapAccess;

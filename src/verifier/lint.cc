@@ -1,9 +1,7 @@
 #include "src/verifier/lint.h"
 
 #include <algorithm>
-#include <array>
 #include <deque>
-#include <map>
 #include <set>
 #include <tuple>
 
@@ -31,9 +29,10 @@ namespace {
 
 std::string RegName(int reg) { return "r" + std::to_string(reg); }
 
-// Local constant propagation (AbsVal/AbsRegs/AbsStep) lives in absval.h,
-// shared with the contract-audit pass (audit.cc). Block entries start
-// unknown, which keeps every derived finding provable regardless of path.
+// Local constant propagation (AbsVal/AbsRegs/AbsStep) and the socket-handle
+// tracker (SocketTags) live in absval.h, shared with the contract audit
+// (audit.cc). Block entries start unknown, which keeps every derived finding
+// provable regardless of path.
 
 // ---- Pass: dead-code --------------------------------------------------------
 
@@ -73,139 +72,58 @@ void DeadCodePass(const LintContext& ctx, std::vector<Finding>& out) {
 
 // ---- Pass: lock-order -------------------------------------------------------
 //
-// Must-hold analysis over constant lock identities (heap offsets). The held
-// set meets by intersection, so a lock is only "held" at a program point if
-// it is held on EVERY path reaching it — acquisition-order facts derived
-// from it are provable, never speculative.
+// A view over the concurrency analysis's must-hold lockset (concurrency.h):
+// locks held on EVERY path reaching a point, with lock identities carried
+// across blocks, so acquisition-order facts derived from it are provable,
+// never speculative. Re-acquisitions of a held lock are the report's
+// kLockCycle findings, one per acquiring pc. An inversion is a pair of
+// acquisition-order edges (a, b) and (b, a), reported once at the (a, b)
+// edge's pc.
 
-// True when the verifier's symbolic execution proved this pc unreachable
-// (a constant-folded branch never pushed the dead side). Resource facts
-// from such code are not real: the runtime can never execute it.
-bool VerifierUnreached(const LintContext& ctx, size_t pc) {
-  return ctx.analysis != nullptr && pc < ctx.analysis->insn_visited.size() &&
-         ctx.analysis->insn_visited[pc] == 0;
-}
-
-struct LockState {
-  bool known = false;          // block visited by the fixpoint yet?
-  std::set<uint64_t> held;     // lock heap offsets held on all paths
-};
-
-bool MeetLockState(LockState& into, const LockState& from) {
-  if (!from.known) {
-    return false;
-  }
-  if (!into.known) {
-    into = from;
-    return true;
-  }
-  size_t before = into.held.size();
-  for (auto it = into.held.begin(); it != into.held.end();) {
-    if (from.held.count(*it) == 0) {
-      it = into.held.erase(it);
-    } else {
-      ++it;
+// The report's findings of one kind, as error findings of `pass`.
+void ConcurrencyFindingsFor(const LintContext& ctx, ConcurrencyFinding::Kind kind,
+                            const char* pass, std::vector<Finding>& out) {
+  for (const ConcurrencyFinding& f : ctx.concurrency().findings) {
+    if (f.kind == kind) {
+      out.push_back({f.pc, LintSeverity::kError, pass, f.message, f.path});
     }
   }
-  return into.held.size() != before;
 }
 
 void LockOrderPass(const LintContext& ctx, std::vector<Finding>& out) {
-  const Program& prog = ctx.program;
-  const size_t nb = ctx.cfg.num_blocks();
-  std::vector<LockState> entry(nb);
-  entry[0].known = true;
-
-  // (outer lock, inner lock) -> pc where inner was acquired under outer.
-  std::map<std::pair<uint64_t, uint64_t>, size_t> order;
-  std::vector<Finding> reacquire;
-
-  auto transfer = [&](const BasicBlock& bb, LockState s, bool collect) {
-    AbsRegs regs;
-    for (size_t pc = bb.start; pc < bb.end; pc = ctx.cfg.NextPc(pc)) {
-      const Insn& insn = prog.insns[pc];
-      if (insn.IsCall()) {
-        const HelperContract* contract = FindHelperContract(insn.imm);
-        if (contract != nullptr && contract->acquires == ResourceKind::kLock &&
-            !VerifierUnreached(ctx, pc)) {
-          if (regs.r[R1].kind == AbsVal::kHeapOff) {
-            uint64_t off = regs.r[R1].v;
-            if (collect) {
-              for (uint64_t outer : s.held) {
-                order.emplace(std::make_pair(outer, off), pc);
-              }
-              if (s.held.count(off) != 0) {
-                reacquire.push_back(
-                    {pc, LintSeverity::kError, "lock-order",
-                     "deadlock: lock at heap offset " + std::to_string(off) +
-                         " re-acquired while already held"});
-              }
-            }
-            s.held.insert(off);
-          }
-          // Unknown lock identity: leaves the must-held set untouched.
-        } else if (contract != nullptr && contract->releases == ResourceKind::kLock) {
-          if (regs.r[R1].kind == AbsVal::kHeapOff) {
-            s.held.erase(regs.r[R1].v);
-          } else {
-            s.held.clear();  // released *some* lock; drop all must-hold facts
-          }
-        }
-      }
-      AbsStep(prog, pc, regs);
-    }
-    return s;
-  };
-
-  // Fixpoint, then one collecting sweep with converged entry states.
-  std::deque<size_t> work(ctx.cfg.rpo().begin(), ctx.cfg.rpo().end());
-  while (!work.empty()) {
-    size_t b = work.front();
-    work.pop_front();
-    if (!entry[b].known) {
+  ConcurrencyFindingsFor(ctx, ConcurrencyFinding::Kind::kLockCycle, "lock-order", out);
+  const std::vector<LockOrderEdge>& edges = ctx.concurrency().edges;
+  for (const LockOrderEdge& e : edges) {
+    if (e.from >= e.to) {
       continue;
     }
-    LockState exit = transfer(ctx.cfg.blocks()[b], entry[b], /*collect=*/false);
-    for (size_t succ : ctx.cfg.blocks()[b].succs) {
-      if (MeetLockState(entry[succ], exit)) {
-        work.push_back(succ);
-      }
+    auto inverse = std::find_if(edges.begin(), edges.end(), [&](const LockOrderEdge& i) {
+      return i.from == e.to && i.to == e.from;
+    });
+    if (inverse != edges.end()) {
+      out.push_back({e.pc, LintSeverity::kError, "lock-order",
+                     "lock-order inversion: lock at heap offset " + std::to_string(e.to) +
+                         " acquired while holding " + std::to_string(e.from) + ", but insn " +
+                         std::to_string(inverse->pc) +
+                         " acquires them in the opposite order (deadlock risk)",
+                     e.path});
     }
   }
-  for (size_t b : ctx.cfg.rpo()) {
-    if (entry[b].known) {
-      transfer(ctx.cfg.blocks()[b], entry[b], /*collect=*/true);
-    }
-  }
-
-  for (const auto& [pair, pc] : order) {
-    auto inverse = order.find({pair.second, pair.first});
-    if (pair.first < pair.second && inverse != order.end()) {
-      out.push_back({pc, LintSeverity::kError, "lock-order",
-                     "lock-order inversion: lock at heap offset " +
-                         std::to_string(pair.second) + " acquired while holding " +
-                         std::to_string(pair.first) + ", but insn " +
-                         std::to_string(inverse->second) +
-                         " acquires them in the opposite order (deadlock risk)"});
-    }
-  }
-  out.insert(out.end(), reacquire.begin(), reacquire.end());
 }
 
 // ---- Pass: ref-leak ---------------------------------------------------------
 //
-// May-leak analysis of acquired kernel references (sockets). Handles are
-// tracked through moves, spills and fills; a JEQ/JNE null check retires the
-// acquisition on the NULL branch exactly like the verifier does. A release
-// through an untracked register conservatively clears every open
-// acquisition, so a finding means: some path provably reaches this exit
+// May-leak analysis of acquired kernel references (sockets). SocketTags
+// (absval.h) follows handles through moves, spills and fills; a JEQ/JNE null
+// check retires the acquisition on the NULL branch exactly like the verifier
+// does. A release through an untracked register conservatively clears every
+// open acquisition, so a finding means: some path provably reaches this exit
 // with the reference still held.
 
 struct RefLeakState {
   bool known = false;
-  std::set<size_t> open;                        // acquire pcs possibly live
-  std::array<size_t, kNumRegs> reg{};           // tag: acquire pc + 1, 0 = none
-  std::array<size_t, kStackSlotCount> slot{};
+  std::set<size_t> open;  // acquire pcs possibly live
+  SocketTags tags;
 };
 
 bool MeetRefLeakState(RefLeakState& into, const RefLeakState& from) {
@@ -220,33 +138,8 @@ bool MeetRefLeakState(RefLeakState& into, const RefLeakState& from) {
   for (size_t pc : from.open) {
     changed |= into.open.insert(pc).second;
   }
-  for (size_t i = 0; i < into.reg.size(); i++) {
-    if (into.reg[i] != from.reg[i] && into.reg[i] != 0) {
-      into.reg[i] = 0;
-      changed = true;
-    }
-  }
-  for (size_t i = 0; i < into.slot.size(); i++) {
-    if (into.slot[i] != from.slot[i] && into.slot[i] != 0) {
-      into.slot[i] = 0;
-      changed = true;
-    }
-  }
+  changed |= into.tags.Meet(from.tags);
   return changed;
-}
-
-void RefLeakKill(RefLeakState& s, size_t tag) {
-  s.open.erase(tag - 1);
-  for (auto& t : s.reg) {
-    if (t == tag) {
-      t = 0;
-    }
-  }
-  for (auto& t : s.slot) {
-    if (t == tag) {
-      t = 0;
-    }
-  }
 }
 
 void RefLeakPass(const LintContext& ctx, std::vector<Finding>& out) {
@@ -259,57 +152,22 @@ void RefLeakPass(const LintContext& ctx, std::vector<Finding>& out) {
                       std::vector<Finding>* findings) {
     for (size_t pc = bb.start; pc < bb.end; pc = ctx.cfg.NextPc(pc)) {
       const Insn& insn = prog.insns[pc];
-      if (insn.IsCall()) {
-        const HelperContract* contract = FindHelperContract(insn.imm);
-        if (contract != nullptr && contract->releases == ResourceKind::kSocket) {
-          size_t tag = s.reg[R1];
-          if (tag != 0) {
-            RefLeakKill(s, tag);
-          } else {
-            s.open.clear();  // released an untracked handle: assume any
-          }
-        }
-        for (int r = R0; r <= R5; r++) {
-          s.reg[r] = 0;
-        }
-        if (contract != nullptr && contract->acquires == ResourceKind::kSocket &&
-            !VerifierUnreached(ctx, pc)) {
-          s.open.insert(pc);
-          s.reg[R0] = pc + 1;
-        }
-      } else if (insn.IsAlu()) {
-        if (insn.AluOpField() == BPF_MOV && insn.SrcField() == BPF_X &&
-            insn.Class() == BPF_ALU64) {
-          s.reg[insn.dst] = s.reg[insn.src];
+      const HelperContract* contract = insn.IsCall() ? FindHelperContract(insn.imm) : nullptr;
+      if (contract != nullptr && contract->releases == ResourceKind::kSocket) {
+        size_t tag = s.tags.Release();
+        if (tag != 0) {
+          s.open.erase(tag - 1);
         } else {
-          s.reg[insn.dst] = 0;
+          s.open.clear();  // released an untracked handle: assume any
         }
-      } else if (insn.IsLdImm64()) {
-        s.reg[insn.dst] = 0;
-      } else if (insn.IsLoad()) {
-        int slot = -1;
-        if (insn.src == R10 && insn.AccessSize() == 8 && (insn.off + kStackSize) % 8 == 0) {
-          slot = Liveness::SlotForOffset(insn.off);
-        }
-        s.reg[insn.dst] = slot >= 0 ? s.slot[slot] : 0;
-      } else if (insn.IsStore() && insn.dst == R10) {
-        int first = Liveness::SlotForOffset(insn.off);
-        int last = Liveness::SlotForOffset(insn.off + insn.AccessSize() - 1);
-        bool full = insn.AccessSize() == 8 && (insn.off + kStackSize) % 8 == 0;
-        if (full && first >= 0 && insn.Class() == BPF_STX) {
-          s.slot[first] = s.reg[insn.src];
-        } else if (first >= 0 && last >= 0) {
-          for (int sl = first; sl <= last; sl++) {
-            s.slot[sl] = 0;
-          }
-        }
-      } else if (insn.IsAtomic()) {
-        if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-          s.reg[R0] = 0;
-        } else if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-          s.reg[insn.src] = 0;
-        }
-      } else if (insn.IsExit() && findings != nullptr && !VerifierUnreached(ctx, pc)) {
+      }
+      s.tags.Step(insn);
+      if (contract != nullptr && contract->acquires == ResourceKind::kSocket &&
+          !VerifierUnreached(ctx.analysis, pc)) {
+        s.open.insert(pc);
+        s.tags.reg[R0] = pc + 1;
+      }
+      if (insn.IsExit() && findings != nullptr && !VerifierUnreached(ctx.analysis, pc)) {
         for (size_t acquire_pc : s.open) {
           findings->push_back({pc, LintSeverity::kError, "ref-leak",
                                "kernel reference acquired at insn " +
@@ -321,23 +179,15 @@ void RefLeakPass(const LintContext& ctx, std::vector<Finding>& out) {
     return s;
   };
 
-  // Null checks retire the acquisition on the NULL edge (succ 0 = taken).
-  auto edge_state = [&](const BasicBlock& bb, const RefLeakState& exit,
-                        size_t succ_index) {
-    RefLeakState s = exit;
-    size_t last = bb.start;
-    for (size_t p = bb.start; p < bb.end; p = ctx.cfg.NextPc(p)) {
-      last = p;
-    }
-    const Insn& term = prog.insns[last];
-    if (term.IsCondJmp() && term.SrcField() == BPF_K && term.imm == 0 &&
-        term.Class() == BPF_JMP) {
-      size_t tag = s.reg[term.dst];
-      uint8_t op = term.AluOpField();
-      if (tag != 0 &&
-          ((op == BPF_JEQ && succ_index == 0) || (op == BPF_JNE && succ_index == 1))) {
-        RefLeakKill(s, tag);  // this edge is the handle == NULL branch
-      }
+  // Null checks retire the acquisition on the NULL edge (succ 0 = taken). A
+  // conditional jump is one slot, so it can only be the block's last slot.
+  auto edge_state = [&](const BasicBlock& bb, RefLeakState s, size_t succ_index) {
+    size_t last = bb.end - 1;
+    size_t tag = ctx.cfg.IsInsnStart(last)
+                     ? s.tags.RetireNullEdge(prog.insns[last], static_cast<int>(succ_index))
+                     : 0;
+    if (tag != 0) {
+      s.open.erase(tag - 1);
     }
     return s;
   };
@@ -477,8 +327,8 @@ void RedundantGuardPass(const LintContext& ctx, std::vector<Finding>& out) {
 
 // ---- Passes: contract-release / contract-check ------------------------------
 //
-// Front ends for the path-sensitive contract audit (audit.h). Unlike the
-// other passes these are deliberately speculative: the DFS carries no value
+// Views over the path-sensitive contract audit (audit.h). Unlike the other
+// passes these are deliberately speculative: the DFS carries no value
 // ranges, so a finding may sit on a path the verifier proved infeasible.
 // Each finding carries a path witness, and `kflex-lint --audit` distills and
 // chaos-replays it to settle CONFIRMED vs PRUNED. Socket findings reproduce
@@ -487,16 +337,12 @@ void RedundantGuardPass(const LintContext& ctx, std::vector<Finding>& out) {
 
 void ContractAuditFindings(const LintContext& ctx, ObligationKind want,
                            std::vector<Finding>& out) {
-  std::vector<AuditFinding> findings =
-      RunContractAudit(ctx.program, ctx.cfg, ctx.analysis);
-  for (AuditFinding& f : findings) {
-    if (f.kind != want) {
-      continue;
+  bool release = want == ObligationKind::kRelease;
+  for (const AuditFinding& f : ctx.audit()) {
+    if (f.kind == want) {
+      out.push_back({f.sink_pc, release ? LintSeverity::kError : LintSeverity::kWarning,
+                     release ? "contract-release" : "contract-check", f.message});
     }
-    bool release = want == ObligationKind::kRelease;
-    out.push_back({f.sink_pc, release ? LintSeverity::kError : LintSeverity::kWarning,
-                   release ? "contract-release" : "contract-check",
-                   std::move(f.message)});
   }
 }
 
@@ -510,10 +356,10 @@ void ContractCheckPass(const LintContext& ctx, std::vector<Finding>& out) {
 
 // ---- Passes: lockset / atomicity / lock-cycle -------------------------------
 //
-// Front ends for the concurrency-safety analysis (concurrency.h) that backs
-// the shard-safety certificate. Severity mapping (docs/concurrency.md):
-// an unprotected or non-atomic-RMW access to a *map value* is an error —
-// maps are shared across extensions and CPUs today, so the race is real. The
+// Views over the concurrency-safety analysis (concurrency.h) that backs the
+// shard-safety certificate. Severity mapping (docs/concurrency.md): an
+// unprotected or non-atomic-RMW access to a *map value* is an error — maps
+// are shared across extensions and CPUs today, so the race is real. The
 // same pattern on the *extension heap* is NOT a lint finding: the heap is
 // only shared with user space and with future concurrent invocations of the
 // same extension, so an unlocked heap access merely downgrades the
@@ -523,54 +369,23 @@ void ContractCheckPass(const LintContext& ctx, std::vector<Finding>& out) {
 // lock-acquisition cycle is a warning: a deadlock needs the cross-order
 // paths to actually interleave.
 
-void ConcurrencyFindingsFor(const LintContext& ctx,
-                            std::initializer_list<ConcurrencyFinding::Kind> kinds,
-                            const char* pass, std::vector<Finding>& out) {
-  ConcurrencyReport report = AnalyzeConcurrency(ctx.program, ctx.cfg, ctx.analysis);
-  for (ConcurrencyFinding& f : report.findings) {
-    bool wanted = false;
-    for (ConcurrencyFinding::Kind k : kinds) {
-      wanted |= f.kind == k;
-    }
-    if (!wanted) {
-      continue;
-    }
-    LintSeverity severity;
-    switch (f.kind) {
-      case ConcurrencyFinding::Kind::kUnlockedMapAccess:
-      case ConcurrencyFinding::Kind::kNonAtomicMapRmw:
-        severity = LintSeverity::kError;
-        break;
-      case ConcurrencyFinding::Kind::kLockCycle:
-        severity = LintSeverity::kWarning;
-        break;
-      default:
-        severity = LintSeverity::kNote;
-        break;
-    }
-    out.push_back({f.pc, severity, pass, std::move(f.message), std::move(f.path)});
-  }
-}
-
 void LocksetPass(const LintContext& ctx, std::vector<Finding>& out) {
-  ConcurrencyFindingsFor(ctx, {ConcurrencyFinding::Kind::kUnlockedMapAccess}, "lockset", out);
+  ConcurrencyFindingsFor(ctx, ConcurrencyFinding::Kind::kUnlockedMapAccess, "lockset", out);
 }
 
 void AtomicityPass(const LintContext& ctx, std::vector<Finding>& out) {
-  ConcurrencyFindingsFor(ctx, {ConcurrencyFinding::Kind::kNonAtomicMapRmw}, "atomicity", out);
+  ConcurrencyFindingsFor(ctx, ConcurrencyFinding::Kind::kNonAtomicMapRmw, "atomicity", out);
 }
 
-// Generalizes the pairwise lock-order inversion check: build the full
-// acquisition graph (with lock identities carried ACROSS blocks, which the
-// block-local lock-order pass cannot see) and report every elementary
-// cycle, each edge carrying a pc+path witness.
+// Generalizes the pairwise lock-order inversion check: every elementary
+// cycle of the acquisition graph, each edge carrying a pc+path witness.
 void LockCyclePass(const LintContext& ctx, std::vector<Finding>& out) {
-  ConcurrencyReport report = AnalyzeConcurrency(ctx.program, ctx.cfg, ctx.analysis);
-  if (report.edges.empty()) {
+  const std::vector<LockOrderEdge>& edges = ctx.concurrency().edges;
+  if (edges.empty()) {
     return;
   }
   LockOrderGraph graph;
-  graph.AddEdges(ctx.program.name.empty() ? "program" : ctx.program.name, report.edges);
+  graph.AddEdges(ctx.program.name.empty() ? "program" : ctx.program.name, edges);
   for (const LockOrderGraph::Cycle& cycle : graph.FindCycles()) {
     const LockOrderEdge& first = cycle.edges.front().edge;
     out.push_back({first.pc, LintSeverity::kWarning, "lock-cycle", cycle.Describe(),
@@ -578,10 +393,24 @@ void LockCyclePass(const LintContext& ctx, std::vector<Finding>& out) {
   }
 }
 
-// ---- Registry ---------------------------------------------------------------
+}  // namespace
 
-std::vector<LintPass>& MutablePasses() {
-  static std::vector<LintPass>* passes = new std::vector<LintPass>{
+const ConcurrencyReport& LintContext::concurrency() const {
+  if (!concurrency_) {
+    concurrency_ = AnalyzeConcurrency(program, cfg, analysis);
+  }
+  return *concurrency_;
+}
+
+const std::vector<AuditFinding>& LintContext::audit() const {
+  if (!audit_) {
+    audit_ = RunContractAudit(program, cfg, analysis);
+  }
+  return *audit_;
+}
+
+const std::vector<LintPass>& LintPasses() {
+  static const std::vector<LintPass>* passes = new std::vector<LintPass>{
       {"dead-code", "dead stores and unreachable basic blocks", DeadCodePass},
       {"lock-order", "lock-order inversions and re-acquisition deadlocks", LockOrderPass},
       {"ref-leak", "kernel references that may leak on an exit path", RefLeakPass},
@@ -600,24 +429,6 @@ std::vector<LintPass>& MutablePasses() {
   return *passes;
 }
 
-}  // namespace
-
-const std::vector<LintPass>& LintPasses() { return MutablePasses(); }
-
-bool RegisterLintPass(const LintPass& pass) {
-  for (const LintPass& existing : MutablePasses()) {
-    if (std::string(existing.name) == pass.name) {
-      return false;
-    }
-  }
-  MutablePasses().push_back(pass);
-  return true;
-}
-
-StatusOr<std::vector<Finding>> RunLint(const Program& program, const Analysis* analysis) {
-  return RunLint(program, analysis, LintRunOptions{});
-}
-
 StatusOr<std::vector<Finding>> RunLint(const Program& program, const Analysis* analysis,
                                        const LintRunOptions& options) {
   std::vector<const LintPass*> selected;
@@ -629,14 +440,8 @@ StatusOr<std::vector<Finding>> RunLint(const Program& program, const Analysis* a
     }
   }
   for (const std::string& name : options.passes) {
-    bool known = false;
-    for (const LintPass& pass : LintPasses()) {
-      if (name == pass.name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
+    if (std::none_of(LintPasses().begin(), LintPasses().end(),
+                     [&](const LintPass& pass) { return name == pass.name; })) {
       return InvalidArgument("unknown lint pass: " + name);
     }
   }
@@ -645,14 +450,14 @@ StatusOr<std::vector<Finding>> RunLint(const Program& program, const Analysis* a
     return cfg.status();
   }
   Liveness liveness = Liveness::Compute(program, *cfg, analysis);
-  LintContext ctx{program, *cfg, liveness, analysis};
+  LintContext ctx(program, *cfg, liveness, analysis);
   std::vector<Finding> findings;
   for (const LintPass* pass : selected) {
     pass->run(ctx, findings);
   }
-  // Passes ran in registration order, so keeping the first occurrence of a
-  // duplicated (pc, severity, message) attributes it to the earliest
-  // registered pass (e.g. ref-leak over contract-release).
+  // Passes ran in registry order, so keeping the first occurrence of a
+  // duplicated (pc, severity, message) attributes it to the earliest pass in
+  // the registry (e.g. ref-leak over contract-release).
   std::set<std::tuple<size_t, int, std::string>> seen;
   std::vector<Finding> unique;
   unique.reserve(findings.size());

@@ -61,7 +61,7 @@ TEST(ClosedLoop, LatencyScalesWithLoad) {
   ClosedLoopResult busy = RunClosedLoop(model, heavy);
 
   // Under light load latency ~= rtt + service.
-  EXPECT_LT(idle.latency.Percentile(0.5), light.rtt_ns + 1000 + 500);
+  EXPECT_LT(idle.latency.Percentile(0.5), kClosedLoopRttNs + 1000 + 500);
   EXPECT_GT(busy.latency.Percentile(0.99), idle.latency.Percentile(0.99) * 4);
 }
 
