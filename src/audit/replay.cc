@@ -259,16 +259,9 @@ ReplayResult ReplayWitness(const Program& witness, const AuditFinding& finding,
   return result;
 }
 
-StatusOr<std::vector<AuditOutcome>> AuditAndReplay(const Program& program,
-                                                   const Analysis* analysis,
-                                                   const AuditReplayOptions& options) {
-  StatusOr<Cfg> cfg = Cfg::Build(program);
-  if (!cfg.ok()) {
-    return cfg.status();
-  }
-  std::vector<AuditFinding> findings =
-      RunContractAudit(program, *cfg, analysis, options.audit);
-
+std::vector<AuditOutcome> ReplayAuditFindings(const Program& program,
+                                              std::vector<AuditFinding> findings,
+                                              const AuditReplayOptions& options) {
   std::vector<AuditOutcome> outcomes;
   outcomes.reserve(findings.size());
   for (AuditFinding& finding : findings) {
@@ -291,6 +284,16 @@ StatusOr<std::vector<AuditOutcome>> AuditAndReplay(const Program& program,
     outcomes.push_back(std::move(outcome));
   }
   return outcomes;
+}
+
+StatusOr<std::vector<AuditOutcome>> AuditAndReplay(const Program& program,
+                                                   const Analysis* analysis,
+                                                   const AuditReplayOptions& options) {
+  StatusOr<Cfg> cfg = Cfg::Build(program);
+  if (!cfg.ok()) {
+    return cfg.status();
+  }
+  return ReplayAuditFindings(program, RunContractAudit(program, *cfg, analysis), options);
 }
 
 }  // namespace kflex

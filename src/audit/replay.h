@@ -37,7 +37,6 @@ enum class AuditVerdict : uint8_t {
 const char* AuditVerdictName(AuditVerdict verdict);
 
 struct AuditReplayOptions {
-  AuditOptions audit;
   // Maps created in every fresh replay runtime (in creation order, so ids
   // are assigned 1, 2, ...). Empty = for each map id the witness references,
   // a generic hash map (8-byte key, 64-byte value, 64 entries) is created.
@@ -82,10 +81,14 @@ struct AuditOutcome {
   ReplayResult replay;
 };
 
+// Distillation and chaos replay of every static audit finding of `program`.
+std::vector<AuditOutcome> ReplayAuditFindings(const Program& program,
+                                              std::vector<AuditFinding> findings,
+                                              const AuditReplayOptions& options = {});
+
 // The whole pipeline: static audit over `program` (with the verifier's
-// `analysis` when available, may be null), distillation of every finding,
-// and chaos replay of every witness. Fails only if the program is too
-// malformed to build a CFG for.
+// `analysis` when available, may be null), then ReplayAuditFindings. Fails
+// only if the program is too malformed to build a CFG for.
 StatusOr<std::vector<AuditOutcome>> AuditAndReplay(const Program& program,
                                                    const Analysis* analysis,
                                                    const AuditReplayOptions& options = {});

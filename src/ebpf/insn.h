@@ -9,6 +9,7 @@
 #ifndef SRC_EBPF_INSN_H_
 #define SRC_EBPF_INSN_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -259,6 +260,82 @@ inline constexpr uint8_t kKieFuelCheckOpcode = BPF_LD | BPF_DW | 0x60;  // 0x78
 inline Insn KieSanitizeInsn(Reg dst) { return Insn{kKieSanitizeOpcode, dst, 0, 0, 0}; }
 inline Insn KieTranslateInsn(Reg dst) { return Insn{kKieTranslateOpcode, dst, 0, 0, 0}; }
 inline Insn KieFuelCheckInsn() { return Insn{kKieFuelCheckOpcode, 0, 0, 0, 0}; }
+
+// ---- Register effects ----------------------------------------------------------
+
+// Bit r of a register mask stands for register r.
+constexpr uint16_t RegBit(int r) { return static_cast<uint16_t>(1u << r); }
+
+// Calls f(r) for every register r in `mask`, in ascending order.
+template <typename F>
+void ForEachReg(uint16_t mask, F&& f) {
+  for (; mask != 0; mask &= static_cast<uint16_t>(mask - 1)) {
+    f(std::countr_zero(mask));
+  }
+}
+
+// The registers an instruction reads and the registers it writes.
+struct RegEffects {
+  uint16_t uses = 0;
+  uint16_t defs = 0;
+};
+
+// The one register def/use model of the ISA: liveness, the optimizer, the
+// lint/audit/concurrency analyses, the verifier's atomic results and the JIT
+// register allocator all derive their register facts from it. Memory (stack
+// slots, heap words) is outside it. Helper calls read the argument registers
+// R1-R5 and clobber the caller-saved R0-R5; Kie's SANITIZE/TRANSLATE rewrite
+// dst in place; JA, FUELCHECK and an ld_imm64 hi slot touch no register.
+inline RegEffects InsnRegEffects(const Insn& insn) {
+  const uint16_t dst = RegBit(insn.dst);
+  if (insn.IsLdImm64()) {
+    return {0, dst};
+  }
+  if (insn.opcode == kKieSanitizeOpcode || insn.opcode == kKieTranslateOpcode) {
+    return {dst, dst};
+  }
+  // Register operand of ALU and jump instructions (bit 3 of a memory opcode
+  // is part of its size field instead).
+  const uint16_t operand = insn.SrcField() == BPF_X ? RegBit(insn.src) : 0;
+  if (insn.IsAlu()) {
+    switch (insn.AluOpField()) {
+      case BPF_MOV:
+        return {operand, dst};
+      case BPF_NEG:
+        return {dst, dst};
+      default:
+        return {static_cast<uint16_t>(dst | operand), dst};
+    }
+  }
+  if (insn.IsLoad()) {
+    return {RegBit(insn.src), dst};
+  }
+  if (insn.IsStore()) {
+    return {static_cast<uint16_t>(dst | (insn.Class() == BPF_STX ? RegBit(insn.src) : 0)), 0};
+  }
+  if (insn.IsAtomic()) {
+    // CMPXCHG compares against R0 and loads the old value into it; XCHG and
+    // the fetching forms load the old value into src.
+    const uint16_t uses = dst | RegBit(insn.src);
+    if (insn.imm == BPF_ATOMIC_CMPXCHG) {
+      return {static_cast<uint16_t>(uses | RegBit(R0)), RegBit(R0)};
+    }
+    if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
+      return {uses, RegBit(insn.src)};
+    }
+    return {uses, 0};
+  }
+  if (insn.IsCall()) {
+    return {0x3E, 0x3F};  // uses R1-R5, defines R0-R5
+  }
+  if (insn.IsExit()) {
+    return {RegBit(R0), 0};
+  }
+  if (insn.IsCondJmp()) {
+    return {static_cast<uint16_t>(dst | operand), 0};
+  }
+  return {};
+}
 
 }  // namespace kflex
 

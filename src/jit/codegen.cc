@@ -617,19 +617,6 @@ class Compiler {
     return ra_.live_out[pc] & (kCallerSavedVm | writes) & kMappedMask;
   }
 
-  // env->regs slots the C++ side of a callout can overwrite.
-  uint32_t MemWriteMask(const Insn& insn) const {
-    if (insn.IsAtomic()) {
-      if (insn.imm == BPF_ATOMIC_CMPXCHG) return 1u << R0;
-      if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-        return 1u << insn.src;
-      }
-      return 0;
-    }
-    if (insn.Class() == BPF_LDX) return 1u << insn.dst;
-    return 0;
-  }
-
   // Value of bytecode register `r`, materializing unmapped registers into
   // `temp` (always a full 64-bit value).
   int GetVal(int r, int temp) {
@@ -1045,7 +1032,7 @@ class Compiler {
     if (path == 0) {
       FlushCounts();
       EmitCallOut(reinterpret_cast<void*>(&kflex_jit_mem), pc,
-                  MemWriteMask(insn));
+                  InsnRegEffects(insn).defs);
       return;
     }
 
@@ -1343,23 +1330,6 @@ class Compiler {
     a_.Bind(done);
   }
 
-  static bool DefinesR1(const Insn& insn) {
-    if (insn.opcode == kKieSanitizeOpcode ||
-        insn.opcode == kKieTranslateOpcode) {
-      return insn.dst == R1;
-    }
-    if (insn.opcode == kKieFuelCheckOpcode) return false;
-    if (insn.IsAlu() || insn.IsLoad()) return insn.dst == R1;
-    if (insn.IsAtomic()) {
-      if (insn.imm == BPF_ATOMIC_CMPXCHG) return false;  // defines R0
-      if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-        return insn.src == R1;
-      }
-      return false;
-    }
-    return insn.IsCall();  // clobbers R0-R5
-  }
-
   // Walks backwards from a CALL looking for the ld_imm64 that pins R1 to a
   // map handle. Aborts at any jump target (unknown provenance), any other R1
   // definition, any non-fallthrough boundary, or after 32 steps — then the
@@ -1383,7 +1353,7 @@ class Compiler {
           return -1;
         }
       } else {
-        if (DefinesR1(insn)) return -1;
+        if ((InsnRegEffects(insn).defs & RegBit(R1)) != 0) return -1;
         if (insn.IsExit()) return -1;
         if (insn.IsJmp() && insn.AluOpField() == BPF_JA) return -1;
       }
@@ -1594,7 +1564,7 @@ class Compiler {
         a_.AddMemI32(kOffInstrCount, static_cast<int32_t>(s.pend_instr));
       }
       EmitCallOut(reinterpret_cast<void*>(&kflex_jit_mem), s.pc,
-                  MemWriteMask(insns_[s.pc]));
+                  InsnRegEffects(insns_[s.pc]).defs);
       if (s.pend != 0) {
         a_.SubMemI32(kOffInsnCount, static_cast<int32_t>(s.pend));
       }

@@ -11,105 +11,11 @@
 namespace kflex {
 namespace {
 
-constexpr uint16_t Bit(int r) { return static_cast<uint16_t>(1u << r); }
-
-// Register def mask of one instruction, mirroring LivenessProblem's model
-// (helper calls clobber R0-R5; Kie guards rewrite dst in place).
-uint16_t RegDefs(const Insn& insn) {
-  if (insn.IsLdImm64()) {
-    return Bit(insn.dst);
-  }
-  if (insn.opcode == kKieSanitizeOpcode || insn.opcode == kKieTranslateOpcode) {
-    return Bit(insn.dst);
-  }
-  if (insn.opcode == kKieFuelCheckOpcode) {
-    return 0;
-  }
-  if (insn.IsAlu()) {
-    return Bit(insn.dst);
-  }
-  if (insn.IsLoad()) {
-    return Bit(insn.dst);
-  }
-  if (insn.IsAtomic()) {
-    if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-      return Bit(R0);
-    }
-    if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-      return Bit(insn.src);
-    }
-    return 0;
-  }
-  if (insn.IsCall()) {
-    return 0x3F;  // R0-R5
-  }
-  return 0;
-}
-
-// Register use mask of one instruction (registers only; the stack-slot part
-// of the liveness domain is irrelevant for loop planning).
-uint16_t RegUses(const Insn& insn) {
-  if (insn.IsLdImm64()) {
-    return 0;
-  }
-  if (insn.opcode == kKieSanitizeOpcode || insn.opcode == kKieTranslateOpcode) {
-    return Bit(insn.dst);
-  }
-  if (insn.opcode == kKieFuelCheckOpcode) {
-    return 0;
-  }
-  if (insn.IsAlu()) {
-    uint8_t op = insn.AluOpField();
-    if (op == BPF_MOV) {
-      return insn.SrcField() == BPF_X ? Bit(insn.src) : 0;
-    }
-    if (op == BPF_NEG) {
-      return Bit(insn.dst);
-    }
-    uint16_t u = Bit(insn.dst);
-    if (insn.SrcField() == BPF_X) {
-      u |= Bit(insn.src);
-    }
-    return u;
-  }
-  if (insn.IsLoad()) {
-    return Bit(insn.src);
-  }
-  if (insn.IsStore()) {
-    uint16_t u = Bit(insn.dst);
-    if (insn.Class() == BPF_STX) {
-      u |= Bit(insn.src);
-    }
-    return u;
-  }
-  if (insn.IsAtomic()) {
-    uint16_t u = Bit(insn.dst) | Bit(insn.src);
-    if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-      u |= Bit(R0);
-    }
-    return u;
-  }
-  if (insn.IsCall()) {
-    return 0x3E;  // R1-R5
-  }
-  if (insn.IsExit()) {
-    return Bit(R0);
-  }
-  if (insn.IsCondJmp()) {
-    uint16_t u = Bit(insn.dst);
-    if (insn.SrcField() == BPF_X) {
-      u |= Bit(insn.src);
-    }
-    return u;
-  }
-  return 0;
-}
-
 uint16_t LiveMask(const BitVec& v) {
   uint16_t m = 0;
   for (int r = 0; r < kNumRegs; r++) {
     if (v.Test(r)) {
-      m |= Bit(r);
+      m |= RegBit(r);
     }
   }
   return m;
@@ -148,7 +54,7 @@ StatusOr<RegAllocInfo> ComputeRegAlloc(const InstrumentedProgram& ip) {
   for (const auto& [pc, entries] : ip.object_tables) {
     for (const ObjectTableEntry& e : entries) {
       if (e.reg >= 0 && e.reg < kNumRegs) {
-        extra_uses[pc] |= Bit(e.reg);
+        extra_uses[pc] |= RegBit(e.reg);
       }
     }
   }
@@ -203,12 +109,7 @@ StatusOr<RegAllocInfo> ComputeRegAlloc(const InstrumentedProgram& ip) {
       if (!m.member[p]) {
         continue;
       }
-      uint16_t defs = RegDefs(prog.insns[p]);
-      for (int r = 0; r < kNumRegs; r++) {
-        if ((defs >> r) & 1) {
-          def_pcs[r].push_back(p);
-        }
-      }
+      ForEachReg(InsnRegEffects(prog.insns[p]).defs, [&](int r) { def_pcs[r].push_back(p); });
     }
 
     for (size_t p = 0; p < n; p = cfg.NextPc(p)) {
@@ -300,12 +201,12 @@ StatusOr<RegAllocInfo> ComputeRegAlloc(const InstrumentedProgram& ip) {
       if (!m.member[p]) {
         continue;
       }
-      uint16_t d = RegDefs(prog.insns[p]);
+      uint16_t d = InsnRegEffects(prog.insns[p]).defs;
       defs_for_cache_reg |= d;
       if (own_pair_pcs.count(p) == 0) {
         defs_in_loop |= d;
       }
-      uses_in_loop |= RegUses(prog.insns[p]);
+      uses_in_loop |= InsnRegEffects(prog.insns[p]).uses;
       auto it = extra_uses.find(p);
       if (it != extra_uses.end()) {
         uses_in_loop |= it->second;
@@ -324,7 +225,7 @@ StatusOr<RegAllocInfo> ComputeRegAlloc(const InstrumentedProgram& ip) {
       size_t block_start = cfg.blocks()[cfg.BlockOf(access_pc)].start;
       size_t last_def = access_pc;  // sentinel: "none found"
       for (size_t q = block_start; q < access_pc; q = cfg.NextPc(q)) {
-        if ((RegDefs(prog.insns[q]) >> base) & 1) {
+        if ((InsnRegEffects(prog.insns[q]).defs >> base) & 1) {
           last_def = q;
         }
       }
@@ -445,7 +346,7 @@ StatusOr<RegAllocInfo> ComputeRegAlloc(const InstrumentedProgram& ip) {
         overlap = m.member[p] && merged[lj].member[p];
       }
       if (overlap) {
-        busy |= Bit(info.loops[lj].cache_host_vm_reg);
+        busy |= RegBit(info.loops[lj].cache_host_vm_reg);
       }
     }
     int cache_reg = -1;
@@ -487,7 +388,7 @@ StatusOr<RegAllocInfo> ComputeRegAlloc(const InstrumentedProgram& ip) {
     any_hoist = true;
     uint16_t hoisted = 0;
     for (size_t p : plan.hoist_mov_pcs) {
-      hoisted |= Bit(prog.insns[p].dst);
+      hoisted |= RegBit(prog.insns[p].dst);
     }
     for (size_t p = 0; p < n; p++) {
       if (plan.member[p] && cfg.IsInsnStart(p)) {

@@ -92,24 +92,8 @@ inline void AbsStep(const Program& prog, size_t pc, AbsRegs& regs) {
     }
     return;
   }
-  if (insn.IsLoad()) {
-    regs.r[insn.dst] = AbsVal();
-    return;
-  }
-  if (insn.IsAtomic()) {
-    if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-      regs.r[R0] = AbsVal();
-    } else if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-      regs.r[insn.src] = AbsVal();
-    }
-    return;
-  }
-  if (insn.IsCall()) {
-    for (int r = R0; r <= R5; r++) {
-      regs.r[r] = AbsVal();
-    }
-    return;
-  }
+  // Anything else this instruction defines is unknown.
+  ForEachReg(InsnRegEffects(insn).defs, [&](int r) { regs.r[r] = AbsVal(); });
 }
 
 // True for a 64-bit JEQ/JNE against immediate 0: a NULL check.
@@ -163,16 +147,10 @@ struct SocketTags {
   // Applies a non-branch instruction. A call clobbers R0-R5; the caller
   // applies a release before and tags an acquisition's R0 after.
   void Step(const Insn& insn) {
-    if (insn.IsCall()) {
-      for (int r = R0; r <= R5; r++) {
-        reg[r] = 0;
-      }
-    } else if (insn.IsAlu()) {
+    if (insn.IsAlu()) {
       bool mov64 = insn.AluOpField() == BPF_MOV && insn.SrcField() == BPF_X &&
                    insn.Class() == BPF_ALU64;
       reg[insn.dst] = mov64 ? reg[insn.src] : 0;
-    } else if (insn.IsLdImm64()) {
-      reg[insn.dst] = 0;
     } else if (insn.IsLoad()) {
       int fill = -1;
       if (insn.src == R10 && insn.AccessSize() == 8 && (insn.off + kStackSize) % 8 == 0) {
@@ -190,12 +168,8 @@ struct SocketTags {
           slot[s] = 0;
         }
       }
-    } else if (insn.IsAtomic()) {
-      if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-        reg[R0] = 0;
-      } else if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-        reg[insn.src] = 0;
-      }
+    } else {
+      ForEachReg(InsnRegEffects(insn).defs, [&](int r) { reg[r] = 0; });
     }
   }
 

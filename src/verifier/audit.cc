@@ -23,6 +23,12 @@ const char* ObligationKindName(ObligationKind kind) {
 
 namespace {
 
+// DFS bounds.
+constexpr size_t kMaxPaths = 4096;      // paths explored before giving up
+constexpr size_t kMaxPathLen = 512;     // steps per path
+constexpr size_t kMaxFindings = 64;
+constexpr size_t kMaxBlockVisits = 2;  // per-path visits of one block (loop bound)
+
 bool IsNullableRet(HelperRetType ret) {
   return ret == HelperRetType::kMapValueOrNull || ret == HelperRetType::kHeapPtrOrNull ||
          ret == HelperRetType::kSocketOrNull;
@@ -86,8 +92,8 @@ struct PathState {
 class AuditDfs {
  public:
   AuditDfs(const Program& prog, const Cfg& cfg, const Analysis* analysis,
-           const AuditOptions& opts, std::vector<AuditFinding>& out)
-      : prog_(prog), cfg_(cfg), analysis_(analysis), opts_(opts), out_(out),
+           std::vector<AuditFinding>& out)
+      : prog_(prog), cfg_(cfg), analysis_(analysis), out_(out),
         visits_(cfg.num_blocks(), 0) {}
 
   void Run() {
@@ -99,7 +105,7 @@ class AuditDfs {
 
  private:
   void CountPath() {
-    if (++paths_explored_ >= opts_.max_paths) {
+    if (++paths_explored_ >= kMaxPaths) {
       stop_ = true;
     }
   }
@@ -156,7 +162,7 @@ class AuditDfs {
     finding.cleanups = cleanups_;
     finding.open_at_sink = Snapshot(st);
     out_.push_back(std::move(finding));
-    if (out_.size() >= opts_.max_findings) {
+    if (out_.size() >= kMaxFindings) {
       stop_ = true;
     }
   }
@@ -228,9 +234,7 @@ class AuditDfs {
       });
     }
     st.sockets.Step(insn);
-    for (int r = R0; r <= R5; r++) {
-      st.chk[static_cast<size_t>(r)] = CheckTag{};
-    }
+    ForgetCheckTags(st, insn);
     const ContractClause* clause = FindClause(insn.imm);
     if (clause != nullptr && !VerifierUnreached(analysis_, pc)) {
       if (clause->kind == ObligationKind::kRelease) {
@@ -252,36 +256,26 @@ class AuditDfs {
     }
   }
 
+  // Forgets the check tag of every register `insn` writes.
+  static void ForgetCheckTags(PathState& st, const Insn& insn) {
+    ForEachReg(InsnRegEffects(insn).defs, [&](int r) { st.chk[r] = CheckTag{}; });
+  }
+
   // Tag tracking + dereference checks for non-control instructions.
   void HandleDataInsn(PathState& st, size_t pc) {
     const Insn& insn = prog_.insns[pc];
-    if (insn.IsAlu()) {
-      if (insn.AluOpField() == BPF_MOV && insn.SrcField() == BPF_X &&
-          insn.Class() == BPF_ALU64) {
-        st.chk[insn.dst] = st.chk[insn.src];
-      } else {
-        st.chk[insn.dst] = CheckTag{};
+    if (insn.IsLoad() || insn.IsStore() || insn.IsAtomic()) {
+      int base = insn.IsLoad() ? insn.src : insn.dst;
+      if (base != R10 && st.chk[base].clause != nullptr) {
+        EmitCheckFinding(st, pc, base);
       }
-    } else if (insn.IsLdImm64()) {
-      st.chk[insn.dst] = CheckTag{};
-    } else if (insn.IsLoad()) {
-      if (insn.src != R10 && st.chk[insn.src].clause != nullptr) {
-        EmitCheckFinding(st, pc, insn.src);
-      }
-      st.chk[insn.dst] = CheckTag{};
-    } else if (insn.IsStore()) {
-      if (insn.dst != R10 && st.chk[insn.dst].clause != nullptr) {
-        EmitCheckFinding(st, pc, insn.dst);
-      }
-    } else if (insn.IsAtomic()) {
-      if (insn.dst != R10 && st.chk[insn.dst].clause != nullptr) {
-        EmitCheckFinding(st, pc, insn.dst);
-      }
-      if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-        st.chk[R0] = CheckTag{};
-      } else if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-        st.chk[insn.src] = CheckTag{};
-      }
+    }
+    bool mov64 = insn.IsAlu() && insn.AluOpField() == BPF_MOV && insn.SrcField() == BPF_X &&
+                 insn.Class() == BPF_ALU64;
+    CheckTag moved = mov64 ? st.chk[insn.src] : CheckTag{};
+    ForgetCheckTags(st, insn);
+    if (mov64) {
+      st.chk[insn.dst] = moved;
     }
     st.sockets.Step(insn);
   }
@@ -306,7 +300,7 @@ class AuditDfs {
     if (stop_) {
       return;
     }
-    if (visits_[block] >= opts_.max_block_visits) {
+    if (visits_[block] >= kMaxBlockVisits) {
       CountPath();
       return;
     }
@@ -316,7 +310,7 @@ class AuditDfs {
     const BasicBlock& bb = cfg_.blocks()[block];
     bool ended = false;
     for (size_t pc = bb.start; pc < bb.end && !stop_; pc = cfg_.NextPc(pc)) {
-      if (path_.size() >= opts_.max_path_len) {
+      if (path_.size() >= kMaxPathLen) {
         CountPath();
         ended = true;
         break;
@@ -371,7 +365,6 @@ class AuditDfs {
   const Program& prog_;
   const Cfg& cfg_;
   const Analysis* analysis_;
-  const AuditOptions& opts_;
   std::vector<AuditFinding>& out_;
 
   std::vector<WitnessStep> path_;
@@ -391,10 +384,9 @@ const std::vector<ContractClause>& HelperContractTable() {
 }
 
 std::vector<AuditFinding> RunContractAudit(const Program& program, const Cfg& cfg,
-                                           const Analysis* analysis,
-                                           const AuditOptions& opts) {
+                                           const Analysis* analysis) {
   std::vector<AuditFinding> findings;
-  AuditDfs dfs(program, cfg, analysis, opts, findings);
+  AuditDfs dfs(program, cfg, analysis, findings);
   dfs.Run();
   std::sort(findings.begin(), findings.end(),
             [](const AuditFinding& a, const AuditFinding& b) {

@@ -106,21 +106,14 @@ struct AuditFinding {
   std::vector<OpenResource> open_at_sink;
 };
 
-struct AuditOptions {
-  size_t max_paths = 4096;      // DFS paths explored before giving up
-  size_t max_path_len = 512;    // steps per path
-  size_t max_findings = 64;
-  size_t max_block_visits = 2;  // per-path visits of one block (loop bound)
-};
-
-// Runs the path-sensitive audit. `analysis` (the verifier's output, may be
-// null for rejected programs) suppresses obligations at instructions the
-// symbolic execution proved unreachable. Findings are deduplicated by
-// (kind, helper, source_pc, sink_pc), each carrying the first witness path
-// found.
+// Runs the path-sensitive audit: a DFS bounded at 4096 paths of at most 512
+// steps, two visits of one block per path, and 64 findings. `analysis` (the
+// verifier's output, may be null for rejected programs) suppresses
+// obligations at instructions the symbolic execution proved unreachable.
+// Findings are deduplicated by (kind, helper, source_pc, sink_pc), each
+// carrying the first witness path found.
 std::vector<AuditFinding> RunContractAudit(const Program& program, const Cfg& cfg,
-                                           const Analysis* analysis,
-                                           const AuditOptions& opts = {});
+                                           const Analysis* analysis);
 
 // A distilled witness: a standalone program that executes exactly the
 // witness path when every branch resolves the way the witness recorded, and

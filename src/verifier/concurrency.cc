@@ -142,6 +142,22 @@ class ConcurrencyAnalyzer {
 
   ConcurrencyReport Run() {
     const size_t nb = cfg_.num_blocks();
+    // Breadth-first parent of every block reachable from the entry, in
+    // successor order: each witness path is the tree path to its block.
+    bfs_parent_.assign(nb, -1);
+    std::deque<size_t> bfs{0};
+    bfs_parent_[0] = 0;
+    while (!bfs.empty()) {
+      size_t b = bfs.front();
+      bfs.pop_front();
+      for (size_t succ : cfg_.blocks()[b].succs) {
+        if (bfs_parent_[succ] < 0) {
+          bfs_parent_[succ] = static_cast<int>(b);
+          bfs.push_back(succ);
+        }
+      }
+    }
+
     entry_.assign(nb, ConcState{});
     entry_[0].known = true;
     entry_[0].cls[R1] = PtrClass::kCtx;
@@ -186,27 +202,15 @@ class ConcurrencyAnalyzer {
   // Shortest entry-to-anchor path at block granularity, lowered to the
   // contract-audit witness encoding: every executed pc, with the branch
   // decision (0 = jump taken, 1 = fall-through) at each conditional.
+  // Read off the BFS tree Run() builds once from block 0.
   std::vector<WitnessStep> WitnessTo(size_t anchor_pc) {
     size_t target = cfg_.BlockOf(anchor_pc);
-    std::vector<int> parent(cfg_.num_blocks(), -1);
-    std::deque<size_t> bfs{0};
-    parent[0] = 0;
-    while (!bfs.empty() && parent[target] < 0) {
-      size_t b = bfs.front();
-      bfs.pop_front();
-      for (size_t succ : cfg_.blocks()[b].succs) {
-        if (parent[succ] < 0) {
-          parent[succ] = static_cast<int>(b);
-          bfs.push_back(succ);
-        }
-      }
-    }
-    if (parent[target] < 0) {
+    if (bfs_parent_[target] < 0) {
       return {};
     }
     std::vector<size_t> chain{target};
     while (chain.back() != 0) {
-      chain.push_back(static_cast<size_t>(parent[chain.back()]));
+      chain.push_back(static_cast<size_t>(bfs_parent_[chain.back()]));
     }
     std::reverse(chain.begin(), chain.end());
 
@@ -261,6 +265,12 @@ class ConcurrencyAnalyzer {
     }
   }
 
+  // Provenance of the registers `insn` writes, outside the moves and
+  // pointer arithmetic Transfer follows: unknown.
+  static void ForgetClasses(ConcState& s, const Insn& insn) {
+    ForEachReg(InsnRegEffects(insn).defs, [&](int r) { s.cls[r] = PtrClass::kUnknown; });
+  }
+
   void KillCandidatesUsing(std::array<RmwCandidate, kNumRegs>& rmw, int reg) {
     for (auto& c : rmw) {
       if (c.valid && c.base == reg) {
@@ -307,9 +317,7 @@ class ConcurrencyAnalyzer {
         }
         rmw.fill(RmwCandidate{});  // calls may publish or synchronize
         AbsStep(prog_, pc, s.regs);
-        for (int r = R0; r <= R5; r++) {
-          s.cls[r] = PtrClass::kUnknown;
-        }
+        ForgetClasses(s, insn);
         if (contract != nullptr && !unreached) {
           if (contract->ret == HelperRetType::kMapValueOrNull) {
             s.cls[R0] = PtrClass::kMapValue;
@@ -332,7 +340,7 @@ class ConcurrencyAnalyzer {
                              region};
           }
         }
-        s.cls[insn.dst] = PtrClass::kUnknown;
+        ForgetClasses(s, insn);
         AbsStep(prog_, pc, s.regs);
         continue;
       }
@@ -347,11 +355,7 @@ class ConcurrencyAnalyzer {
           }
         }
         AbsStep(prog_, pc, s.regs);
-        if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-          s.cls[R0] = PtrClass::kUnknown;
-        } else if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-          s.cls[insn.src] = PtrClass::kUnknown;
-        }
+        ForgetClasses(s, insn);
         continue;
       }
 
@@ -425,6 +429,7 @@ class ConcurrencyAnalyzer {
   const Cfg& cfg_;
   const Analysis* analysis_;
 
+  std::vector<int> bfs_parent_;  // -1: unreachable from the entry
   std::vector<ConcState> entry_;
   ConcurrencyReport report_;  // counters and findings; edges fill in at the end
   std::map<std::pair<uint64_t, uint64_t>, LockOrderEdge> edges_;

@@ -126,11 +126,7 @@ class LivenessProblem : public DataflowProblem {
     if (extra_reg_uses_ != nullptr) {
       auto it = extra_reg_uses_->find(pc);
       if (it != extra_reg_uses_->end()) {
-        for (int r = 0; r < kNumRegs; r++) {
-          if ((it->second >> r) & 1) {
-            use.Set(r);
-          }
-        }
+        ForEachReg(it->second, [&](int r) { use.Set(r); });
       }
     }
     v.Subtract(def);
@@ -170,57 +166,21 @@ class LivenessProblem : public DataflowProblem {
     return info.visited && info.region == MemRegion::kStack;
   }
 
+  // Registers come from the ISA's def/use model; the stack-slot half is
+  // liveness's own.
   void CollectUsesDefs(size_t pc, const Insn& insn, BitVec& use, BitVec& def) const {
-    if (insn.IsLdImm64()) {
-      def.Set(insn.dst);
-      return;
-    }
-    // Kie pseudo-instructions (absent from pre-instrumentation programs, but
-    // the JIT's register allocator runs liveness over instrumented bytecode):
-    // SANITIZE/TRANSLATE read and rewrite dst in place, FUELCHECK touches no
-    // registers.
-    if (insn.opcode == kKieSanitizeOpcode || insn.opcode == kKieTranslateOpcode) {
-      use.Set(insn.dst);
-      def.Set(insn.dst);
-      return;
-    }
-    if (insn.opcode == kKieFuelCheckOpcode) {
-      return;
-    }
-    if (insn.IsAlu()) {
-      uint8_t op = insn.AluOpField();
-      if (op == BPF_MOV) {
-        if (insn.SrcField() == BPF_X) {
-          use.Set(insn.src);
-        }
-        def.Set(insn.dst);
-      } else if (op == BPF_NEG) {
-        use.Set(insn.dst);
-        def.Set(insn.dst);
-      } else {
-        use.Set(insn.dst);
-        if (insn.SrcField() == BPF_X) {
-          use.Set(insn.src);
-        }
-        def.Set(insn.dst);
-      }
-      return;
-    }
-    if (insn.IsLoad()) {
-      use.Set(insn.src);
-      if (insn.src == R10) {
+    RegEffects effects = InsnRegEffects(insn);
+    ForEachReg(effects.uses, [&](int r) { use.Set(r); });
+    ForEachReg(effects.defs, [&](int r) { def.Set(r); });
+    if (insn.IsLoad() || insn.IsAtomic()) {
+      // Read-modify-write atomics are never a strong kill of their slot.
+      int base = insn.IsLoad() ? insn.src : insn.dst;
+      if (base == R10) {
         UseSlotsInRange(insn, use);
       } else if (MayReadStackViaAlias(pc)) {
         UseAllSlots(use);
       }
-      def.Set(insn.dst);
-      return;
-    }
-    if (insn.IsStore()) {
-      use.Set(insn.dst);
-      if (insn.Class() == BPF_STX) {
-        use.Set(insn.src);
-      }
+    } else if (insn.IsStore()) {
       // A full, aligned 8-byte store through the frame pointer strongly
       // kills its slot; anything narrower or through an alias does not.
       if (insn.dst == R10 && insn.AccessSize() == 8 && (insn.off + kStackSize) % 8 == 0) {
@@ -229,49 +189,10 @@ class LivenessProblem : public DataflowProblem {
           def.Set(SlotBit(slot));
         }
       }
-      return;
-    }
-    if (insn.IsAtomic()) {
-      use.Set(insn.dst);
-      use.Set(insn.src);
-      if (insn.dst == R10) {
-        UseSlotsInRange(insn, use);
-      } else if (MayReadStackViaAlias(pc)) {
-        UseAllSlots(use);
-      }
-      if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-        use.Set(R0);
-        def.Set(R0);
-      } else if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-        def.Set(insn.src);
-      }
-      // Read-modify-write: never a strong kill of the slot.
-      return;
-    }
-    if (insn.IsCall()) {
-      // Conservative: helpers may consume any argument register and read any
-      // stack memory passed by pointer; they clobber the caller-saved set.
-      for (int r = R1; r <= R5; r++) {
-        use.Set(r);
-      }
+    } else if (insn.IsCall()) {
+      // Helpers may read any stack memory passed to them by pointer.
       UseAllSlots(use);
-      for (int r = R0; r <= R5; r++) {
-        def.Set(r);
-      }
-      return;
     }
-    if (insn.IsExit()) {
-      use.Set(R0);
-      return;
-    }
-    if (insn.IsCondJmp()) {
-      use.Set(insn.dst);
-      if (insn.SrcField() == BPF_X) {
-        use.Set(insn.src);
-      }
-      return;
-    }
-    // Unconditional jump: no uses or defs.
   }
 
   const Analysis* analysis_;

@@ -395,6 +395,15 @@ void LockCyclePass(const LintContext& ctx, std::vector<Finding>& out) {
 
 }  // namespace
 
+StatusOr<LintContext> LintContext::Build(const Program& prog, const Analysis* facts) {
+  StatusOr<Cfg> graph = Cfg::Build(prog);
+  if (!graph.ok()) {
+    return graph.status();
+  }
+  Liveness live = Liveness::Compute(prog, *graph, facts);
+  return LintContext(prog, std::move(graph).value(), std::move(live), facts);
+}
+
 const ConcurrencyReport& LintContext::concurrency() const {
   if (!concurrency_) {
     concurrency_ = AnalyzeConcurrency(program, cfg, analysis);
@@ -429,8 +438,7 @@ const std::vector<LintPass>& LintPasses() {
   return *passes;
 }
 
-StatusOr<std::vector<Finding>> RunLint(const Program& program, const Analysis* analysis,
-                                       const LintRunOptions& options) {
+StatusOr<std::vector<Finding>> RunLint(const LintContext& ctx, const LintRunOptions& options) {
   std::vector<const LintPass*> selected;
   for (const LintPass& pass : LintPasses()) {
     if (options.passes.empty() ||
@@ -445,12 +453,6 @@ StatusOr<std::vector<Finding>> RunLint(const Program& program, const Analysis* a
       return InvalidArgument("unknown lint pass: " + name);
     }
   }
-  auto cfg = Cfg::Build(program);
-  if (!cfg.ok()) {
-    return cfg.status();
-  }
-  Liveness liveness = Liveness::Compute(program, *cfg, analysis);
-  LintContext ctx(program, *cfg, liveness, analysis);
   std::vector<Finding> findings;
   for (const LintPass* pass : selected) {
     pass->run(ctx, findings);
@@ -471,6 +473,15 @@ StatusOr<std::vector<Finding>> RunLint(const Program& program, const Analysis* a
     return std::tie(a.pc, a.pass, a.message) < std::tie(b.pc, b.pass, b.message);
   });
   return findings;
+}
+
+StatusOr<std::vector<Finding>> RunLint(const Program& program, const Analysis* analysis,
+                                       const LintRunOptions& options) {
+  StatusOr<LintContext> ctx = LintContext::Build(program, analysis);
+  if (!ctx.ok()) {
+    return ctx.status();
+  }
+  return RunLint(*ctx, options);
 }
 
 }  // namespace kflex

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/status.h"
@@ -46,21 +47,25 @@ struct Finding {
 // Everything a pass may consult. `analysis` is the verifier's output when
 // the program verified, nullptr otherwise — passes must work without it
 // (lint runs on rejected programs too, to explain why). The concurrency
-// report and the contract audit are computed once, on first use.
+// report and the contract audit are computed once, on first use, so a
+// caller that also needs them reads them from the context RunLint ran on.
 struct LintContext {
-  LintContext(const Program& prog, const Cfg& graph, const Liveness& live,
-              const Analysis* facts)
-      : program(prog), cfg(graph), liveness(live), analysis(facts) {}
+  // Builds the CFG and liveness of `prog`, which must outlive the context.
+  // Fails only if the program is too malformed to build a CFG for.
+  static StatusOr<LintContext> Build(const Program& prog, const Analysis* facts);
 
   const Program& program;
-  const Cfg& cfg;
-  const Liveness& liveness;
+  Cfg cfg;
+  Liveness liveness;
   const Analysis* analysis;
 
   const ConcurrencyReport& concurrency() const;
   const std::vector<AuditFinding>& audit() const;
 
  private:
+  LintContext(const Program& prog, Cfg graph, Liveness live, const Analysis* facts)
+      : program(prog), cfg(std::move(graph)), liveness(std::move(live)), analysis(facts) {}
+
   mutable std::optional<ConcurrencyReport> concurrency_;
   mutable std::optional<std::vector<AuditFinding>> audit_;
 };
@@ -86,12 +91,16 @@ struct LintRunOptions {
   std::vector<std::string> passes;
 };
 
-// Builds the CFG + liveness for `program` and runs the selected passes.
-// Identical findings emitted by overlapping passes (same pc, severity and
-// message — e.g. ref-leak and contract-release describing the same leaked
-// reference) are deduplicated, keeping the copy of the pass listed first.
-// Findings are sorted by (pc, pass). Fails only if the program is too
-// malformed to build a CFG for, or if a selected pass does not exist.
+// Runs the selected passes over `ctx`. Identical findings emitted by
+// overlapping passes (same pc, severity and message — e.g. ref-leak and
+// contract-release describing the same leaked reference) are deduplicated,
+// keeping the copy of the pass listed first. Findings are sorted by (pc,
+// pass). Fails only if a selected pass does not exist.
+StatusOr<std::vector<Finding>> RunLint(const LintContext& ctx,
+                                       const LintRunOptions& options = {});
+
+// Builds the context for `program` and runs the selected passes over it.
+// Also fails if the program is too malformed to build a CFG for.
 StatusOr<std::vector<Finding>> RunLint(const Program& program,
                                        const Analysis* analysis = nullptr,
                                        const LintRunOptions& options = {});

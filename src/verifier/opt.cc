@@ -94,20 +94,8 @@ void ApplyInsn(const Program& prog, size_t pc, SccpRegs& regs) {
     regs[insn.dst] = RegState::ScalarMaxBytes(static_cast<int>(insn.AccessSize()));
     return;
   }
-  if (insn.IsAtomic()) {
-    if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-      regs[R0] = Untracked();
-    } else if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-      regs[insn.src] = Untracked();
-    }
-    return;
-  }
-  if (insn.IsCall()) {
-    for (int r = R0; r <= R5; r++) {
-      regs[r] = Untracked();
-    }
-    return;
-  }
+  // Atomic results and helper clobbers.
+  ForEachReg(InsnRegEffects(insn).defs, [&](int r) { regs[r] = Untracked(); });
 }
 
 // Decides a conditional branch from the lattice: true = always taken,
@@ -368,16 +356,9 @@ class AvailGuardProblem : public DataflowProblem {
       }
     }
     // Register redefinitions invalidate the pairing with RAX.
-    if (insn.IsLdImm64() || insn.IsAlu() || insn.IsLoad()) {
-      v.Clear(insn.dst);
-    } else if (insn.IsAtomic()) {
-      if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-        v.Clear(R0);
-      } else if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-        v.Clear(insn.src);
-      }
-    } else if (insn.IsCall()) {
-      v.ClearAll();  // helpers clobber R0-R5 and may block/cancel
+    ForEachReg(InsnRegEffects(insn).defs, [&](int r) { v.Clear(r); });
+    if (insn.IsCall()) {
+      v.ClearAll();  // helpers may also block or cancel
     }
   }
 

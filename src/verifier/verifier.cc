@@ -11,6 +11,7 @@
 #include "src/base/logging.h"
 #include "src/ebpf/helper_ids.h"
 #include "src/obs/obs.h"
+#include "src/runtime/layout.h"
 #include "src/verifier/cfg.h"
 #include "src/verifier/dataflow.h"
 #include "src/verifier/state.h"
@@ -23,21 +24,22 @@ constexpr int64_t kS64Min = std::numeric_limits<int64_t>::min();
 constexpr int64_t kS64Max = std::numeric_limits<int64_t>::max();
 constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
 
+// Exploration limits.
+constexpr size_t kMaxStates = 1 << 20;
+constexpr size_t kMaxInsnVisits = 4096;  // per-insn cap before rejection
+constexpr size_t kWidenThreshold = 64;   // visits at a prune point before widening
+
 std::string PcMsg(size_t pc, const std::string& msg) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "insn %zu: ", pc);
   return buf + msg;
 }
 
-// Atomic result registers (eBPF semantics): CMPXCHG loads the old value into
-// R0; XCHG and fetching ADD load it into the source register.
+// Atomic result register (InsnRegEffects): the old memory value, a scalar of
+// the access width.
 void ApplyAtomicResult(VerifierState& st, const Insn& insn) {
-  int size = insn.AccessSize();
-  if (insn.imm == BPF_ATOMIC_CMPXCHG) {
-    st.regs[R0] = RegState::ScalarMaxBytes(size);
-  } else if (insn.imm == BPF_ATOMIC_XCHG || (insn.imm & BPF_ATOMIC_FETCH) != 0) {
-    st.regs[insn.src] = RegState::ScalarMaxBytes(size);
-  }
+  ForEachReg(InsnRegEffects(insn).defs,
+             [&](int r) { st.regs[r] = RegState::ScalarMaxBytes(insn.AccessSize()); });
 }
 
 // ---- Conditional-branch bound refinement -------------------------------------
@@ -193,7 +195,7 @@ class VerifierImpl {
   VerifierImpl(const Program& program, const VerifyOptions& options)
       : prog_(program), opts_(options) {
     heap_size_ = program.heap_size;
-    ctx_size_ = options.ctx_size != 0 ? options.ctx_size : DefaultCtxSize(program.hook);
+    ctx_size_ = DefaultCtxSize(program.hook);
     mode_ = program.mode;
     analysis_.mem.resize(program.insns.size());
     analysis_.insn_visited.assign(program.insns.size(), 0);
@@ -742,8 +744,9 @@ Status VerifierImpl::CheckMem(VerifierState& st, const Insn& insn, size_t pc) {
       if (mode_ != ExtensionMode::kKflex) {
         return VerificationFailed(PcMsg(pc, "heap access requires KFlex mode"));
       }
-      // Range analysis: provably within heap +/- guard zones => elide guard.
-      int64_t guard = static_cast<int64_t>(opts_.guard_zone_size);
+      // Range analysis: provably within the heap's guard zones => elide the
+      // guard; a fault there is caught and becomes a cancellation (§4.1).
+      int64_t guard = static_cast<int64_t>(kHeapGuardZone);
       bool in_bounds = false;
       // Use 128-bit arithmetic to avoid overflow traps in the bound check.
       __int128 lo = static_cast<__int128>(base.smin) + insn.off;
@@ -1173,14 +1176,14 @@ VerifierImpl::PruneResult VerifierImpl::PruneOrWiden(size_t pc, VerifierState& s
     }
   }
   visit_count_[pc]++;
-  if (visit_count_[pc] > opts_.max_insn_visits) {
+  if (visit_count_[pc] > kMaxInsnVisits) {
     error = VerificationFailed(PcMsg(
         pc, mode_ == ExtensionMode::kEbpf
                 ? "loop state does not converge (unbounded loop in eBPF mode)"
                 : "loop does not converge; kernel resources must be released per iteration"));
     return PruneResult::kError;
   }
-  if (visit_count_[pc] > opts_.widen_threshold && mode_ == ExtensionMode::kKflex) {
+  if (visit_count_[pc] > kWidenThreshold && mode_ == ExtensionMode::kKflex) {
     // Widen against a stored state with identical resource shape so that
     // repeated visits converge.
     for (const VerifierState& seen : stored) {
@@ -1219,7 +1222,7 @@ Status VerifierImpl::ExplorePath(size_t start_pc, VerifierState start_st) {
   work_.push_back(Pending{start_pc, std::move(start_st)});
   while (!work_.empty()) {
     analysis_.explored_states++;
-    if (analysis_.explored_states > opts_.max_states) {
+    if (analysis_.explored_states > kMaxStates) {
       return VerificationFailed("program too complex: state limit exceeded");
     }
     size_t pc = work_.back().pc;
@@ -1232,7 +1235,7 @@ Status VerifierImpl::ExplorePath(size_t start_pc, VerifierState start_st) {
         return VerificationFailed("execution falls off the end of the program");
       }
       analysis_.explored_insns++;
-      if (analysis_.explored_insns > opts_.max_states * 8) {
+      if (analysis_.explored_insns > kMaxStates * 8) {
         return VerificationFailed("program too complex: instruction visit limit exceeded");
       }
       analysis_.insn_visited[pc] = 1;

@@ -30,17 +30,10 @@ struct MapDescriptor {
   MapType type = MapType::kHash;
 };
 
+// Heap accesses proven to stay within the heap's guard zones
+// (kHeapGuardZone) need no SFI guard, and the hook's ctx object is
+// DefaultCtxSize(hook) bytes.
 struct VerifyOptions {
-  // Size of the guard zones flanking the extension heap; accesses proven to
-  // stay within [heap - guard, heap_end + guard) are elidable because faults
-  // in the guard zone are caught and converted into cancellations (§4.1).
-  uint64_t guard_zone_size = 32 * 1024;
-  // Context object size for the hook (defaults chosen per hook if 0).
-  uint32_t ctx_size = 0;
-  // Exploration limits.
-  size_t max_states = 1 << 20;
-  size_t max_insn_visits = 4096;  // per-insn cap before widening / rejection
-  size_t widen_threshold = 64;    // visits at a prune point before widening
   std::vector<MapDescriptor> maps;
   // Audit-replay mode (contract-audit subsystem, src/verifier/audit.h): load
   // a distilled witness program even though it violates a helper contract on

@@ -7,14 +7,20 @@
 //    dies at base redefinitions, helper calls, and C1 cancellation points.
 //  * Dead stack-store elimination, including the unwinder's object-table
 //    slot protection.
+//  * The register def/use model every pass reads (InsnRegEffects), checked
+//    against the reference interpreter.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <vector>
 
+#include "src/base/rng.h"
 #include "src/ebpf/assembler.h"
 #include "src/ebpf/helper_ids.h"
 #include "src/kie/kie.h"
 #include "src/runtime/runtime.h"
+#include "src/runtime/vm.h"
 #include "src/verifier/dataflow.h"
 #include "src/verifier/opt.h"
 #include "src/verifier/verifier.h"
@@ -453,6 +459,100 @@ TEST(DeadStoreTest, ObjectTableSlotsAreProtected) {
   ASSERT_TRUE(kept.ok());
   EXPECT_FALSE(kept->plan.removed[d1]);
   EXPECT_EQ(kept->plan.stats.dead_stores_removed, 0u);
+}
+
+// ---- Register def/use model ---------------------------------------------------
+
+using RegFile = std::array<uint64_t, kNumRegs>;
+
+// One instance of every ALU/ALU32 form, ld_imm64, stack LDX/ST/STX at every
+// width and every stack atomic the verifier accepts, on random registers
+// R0-R9 (ld_imm64 as its two-slot pair).
+std::vector<std::vector<Insn>> RegEffectsForms(Rng& rng) {
+  auto reg = [&] { return static_cast<Reg>(rng.NextBounded(10)); };
+  auto slot = [&] { return static_cast<int16_t>(-8 * static_cast<int>(1 + rng.NextBounded(16))); };
+  std::vector<std::vector<Insn>> forms;
+  for (bool is64 : {true, false}) {
+    for (AluOp op : {BPF_ADD, BPF_SUB, BPF_MUL, BPF_DIV, BPF_OR, BPF_AND, BPF_LSH, BPF_RSH,
+                     BPF_MOD, BPF_XOR, BPF_MOV, BPF_ARSH}) {
+      bool shift = op == BPF_LSH || op == BPF_RSH || op == BPF_ARSH;
+      int32_t imm = static_cast<int32_t>(shift ? rng.NextBounded(is64 ? 64 : 32) : rng.Next());
+      forms.push_back({AluImmInsn(op, reg(), imm, is64)});
+      forms.push_back({AluRegInsn(op, reg(), reg(), is64)});
+    }
+    forms.push_back({NegInsn(reg(), is64)});
+  }
+  uint64_t imm64 = rng.Next();
+  forms.push_back({LdImm64Insn(reg(), imm64), LdImm64HiInsn(imm64)});
+  for (MemSize size : {BPF_B, BPF_H, BPF_W, BPF_DW}) {
+    forms.push_back({LdxInsn(size, reg(), R10, slot())});
+    forms.push_back({StxInsn(size, R10, slot(), reg())});
+    forms.push_back({StImmInsn(size, R10, slot(), static_cast<int32_t>(rng.Next()))});
+  }
+  for (MemSize size : {BPF_W, BPF_DW}) {
+    for (int32_t aop : {BPF_ATOMIC_ADD, BPF_ATOMIC_ADD | BPF_ATOMIC_FETCH, BPF_ATOMIC_XCHG,
+                        BPF_ATOMIC_CMPXCHG}) {
+      forms.push_back({AtomicInsn(size, R10, slot(), reg(), aop)});
+    }
+  }
+  return forms;
+}
+
+// Runs `form` in the reference interpreter with R0-R9 = `regs` and the given
+// stack contents; returns the final register file.
+RegFile RunForm(const std::vector<Insn>& form, const RegFile& regs,
+                const std::vector<uint8_t>& stack) {
+  std::vector<Insn> prog;
+  for (int r = R0; r <= R9; r++) {
+    prog.push_back(LdImm64Insn(static_cast<Reg>(r), regs[r]));
+    prog.push_back(LdImm64HiInsn(regs[r]));
+  }
+  prog.insert(prog.end(), form.begin(), form.end());
+  prog.push_back(ExitInsn());
+  VmEnv env;
+  std::memcpy(env.stack, stack.data(), kStackSize);
+  VmResult result = VmRun(prog, env);
+  EXPECT_EQ(result.outcome, VmResult::Outcome::kOk) << InsnToString(form[0]);
+  RegFile out{};
+  std::copy(std::begin(env.regs), std::end(env.regs), out.begin());
+  return out;
+}
+
+// (a) every register outside `defs` keeps its value; (b) re-randomizing
+// every register outside `uses` leaves every `defs` result unchanged. R10 is
+// the read-only frame pointer and is never re-randomized.
+TEST(InsnRegEffects, AgreesWithReferenceInterpreter) {
+  Rng rng(0x5EEDULL);
+  for (int round = 0; round < 16; round++) {
+    for (const std::vector<Insn>& form : RegEffectsForms(rng)) {
+      RegEffects effects = InsnRegEffects(form[0]);
+      std::vector<uint8_t> stack(kStackSize);
+      for (uint8_t& b : stack) {
+        b = static_cast<uint8_t>(rng.Next());
+      }
+      RegFile regs{};
+      for (int r = R0; r <= R9; r++) {
+        regs[r] = rng.Next();
+      }
+      RegFile first = RunForm(form, regs, stack);
+      for (int r = R0; r <= R9; r++) {
+        if (((effects.defs >> r) & 1) == 0) {
+          EXPECT_EQ(first[r], regs[r]) << InsnToString(form[0]) << ": r" << r << " not in defs";
+        }
+      }
+      RegFile other = regs;
+      for (int r = R0; r <= R9; r++) {
+        if (((effects.uses >> r) & 1) == 0) {
+          other[r] = rng.Next();
+        }
+      }
+      RegFile second = RunForm(form, other, stack);
+      ForEachReg(effects.defs, [&](int r) {
+        EXPECT_EQ(second[r], first[r]) << InsnToString(form[0]) << ": r" << r
+                                       << " depends on a register outside uses";
+      });
+    }
+  }
 }
 
 }  // namespace

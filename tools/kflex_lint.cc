@@ -750,10 +750,16 @@ int main(int argc, char** argv) {
       errors++;  // an example that fails verification is an error-level event
     }
 
+    // One lint context per file: the passes, the certificate and --audit
+    // share its concurrency report and contract audit.
+    auto ctx = LintContext::Build(*program, analysis_ptr);
+
     // Shard-safety certificate (docs/concurrency.md). Computed for rejected
     // programs too — the provenance analysis needs no verifier facts, only a
     // CFG — so a racy program is diagnosed even when verification fails.
-    report.concurrency = AnalyzeConcurrency(*program, analysis_ptr);
+    if (ctx.ok()) {
+      report.concurrency = ctx->concurrency();
+    }
     report.has_concurrency = true;
 
     if (opt_report && report.verified) {
@@ -777,7 +783,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    auto findings = RunLint(*program, analysis_ptr, lint_options);
+    auto findings = ctx.ok() ? RunLint(*ctx, lint_options)
+                             : StatusOr<std::vector<Finding>>(ctx.status());
     if (findings.ok()) {
       report.findings = *findings;
     } else {
@@ -786,17 +793,16 @@ int main(int argc, char** argv) {
     }
 
     if (audit) {
-      auto outcomes = AuditAndReplay(*program, analysis_ptr);
-      if (outcomes.ok()) {
+      if (ctx.ok()) {
         report.has_audit = true;
-        report.audit = std::move(outcomes).value();
+        report.audit = ReplayAuditFindings(*program, ctx->audit());
         for (const AuditOutcome& o : report.audit) {
           if (o.replay.verdict == AuditVerdict::kConfirmed) {
             errors++;
           }
         }
       } else {
-        report.error += (report.error.empty() ? "" : "; ") + outcomes.status().ToString();
+        report.error += (report.error.empty() ? "" : "; ") + ctx.status().ToString();
         io_error = true;
       }
     }
