@@ -80,12 +80,6 @@ void SyscallFilter::Allow(uint64_t syscall_nr) {
   view_.Store(addr, word);
 }
 
-bool SyscallFilter::IsDenied(uint64_t syscall_nr) const {
-  uint64_t word = 0;
-  view_.Load(view_.AddrOf(SF::kBitmapOff + (syscall_nr >> 6) * 8), word);
-  return (word >> (syscall_nr & 63)) & 1;
-}
-
 uint64_t SyscallFilter::denied_hits() const {
   uint64_t count = 0;
   view_.Load(view_.AddrOf(SF::kDeniedCountOff), count);

@@ -1,6 +1,5 @@
 #include "src/base/logging.h"
 
-#include <atomic>
 #include <mutex>
 
 #include "src/base/status.h"
@@ -8,7 +7,8 @@
 namespace kflex {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
+// Messages below this level are dropped.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 std::mutex g_log_mutex;
 
 const char* LevelName(LogLevel level) {
@@ -26,11 +26,8 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
 void LogMessage(LogLevel level, const char* file, int line, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(GetLogLevel())) {
+  if (static_cast<int>(level) < static_cast<int>(kMinLevel)) {
     return;
   }
   const char* base = file;

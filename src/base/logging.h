@@ -11,10 +11,6 @@ namespace kflex {
 
 enum class LogLevel { kDebug = 0, kInfo, kWarning, kError };
 
-// Global minimum level; messages below it are dropped. Defaults to kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 void LogMessage(LogLevel level, const char* file, int line, const std::string& message);
 
 class LogStream {

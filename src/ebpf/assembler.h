@@ -72,6 +72,8 @@ class Assembler {
   void AtomicXchg(MemSize size, Reg dst, int16_t off, Reg src);
   void AtomicCmpXchg(MemSize size, Reg dst, int16_t off, Reg src);
 
+  void Emit(const Insn& insn) { insns_.push_back(insn); }
+
   // ---- Control flow ----
   void Jmp(Label target);
   void JmpImm(JmpOp op, Reg dst, int32_t imm, Label target, bool is64 = true);
@@ -92,8 +94,6 @@ class Assembler {
   LoopScope LoopBegin();
   void LoopBreakIfImm(const LoopScope& loop, JmpOp op, Reg dst, int32_t imm);
   void LoopBreakIfReg(const LoopScope& loop, JmpOp op, Reg dst, Reg src);
-  void LoopContinue(const LoopScope& loop);
-  void LoopBreak(const LoopScope& loop);
   void LoopEnd(const LoopScope& loop);
 
   //   auto iff = a.IfImm(BPF_JEQ, R1, 0);   // then-branch runs when R1 == 0

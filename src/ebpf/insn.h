@@ -11,7 +11,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <string>
 
 namespace kflex {
 
@@ -241,14 +240,11 @@ inline uint64_t LdImm64Value(const Insn& lo, const Insn& hi) {
          static_cast<uint64_t>(static_cast<uint32_t>(lo.imm));
 }
 
-// Human-readable rendering of one instruction (for diagnostics and tests).
-std::string InsnToString(const Insn& insn);
-
 // ---- Kie instrumentation pseudo-instructions ---------------------------------
 // Encoded in otherwise-unused LD-class opcodes; emitted only by the Kie
 // instrumentation engine (src/kie) and executed only by the KFlex-extended VM.
-// The encodings live here, at the ISA layer, so the disassembler can name
-// them without depending on Kie.
+// The encodings live here, at the ISA layer, so the listing (text_asm.h) can
+// name them without depending on Kie.
 //
 //   SANITIZE dst: dst = heap_kernel_base + (dst & (heap_size - 1))
 //   TRANSLATE dst: dst = heap_user_base + (dst & (heap_size - 1))

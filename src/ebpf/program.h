@@ -20,12 +20,22 @@ enum class Hook {
   kLsm,         // Security decision hook.
 };
 
-const char* HookName(Hook hook);
-
 // Default verdict returned to the kernel when an extension is cancelled at
 // this hook ("security extensions must deny by default, and network
 // extensions should pass packets by default", §4.3).
-int64_t HookDefaultVerdict(Hook hook);
+inline int64_t HookDefaultVerdict(Hook hook) {
+  switch (hook) {
+    case Hook::kXdp:
+      return 2;  // XDP_PASS: let the packet continue up the stack.
+    case Hook::kSkSkb:
+      return 0;  // SK_PASS equivalent.
+    case Hook::kTracepoint:
+      return 0;
+    case Hook::kLsm:
+      return -1;  // -EPERM: deny by default.
+  }
+  return 0;
+}
 
 // Verification / execution mode.
 enum class ExtensionMode {
@@ -49,8 +59,6 @@ struct Program {
 
   size_t size() const { return insns.size(); }
 };
-
-std::string ProgramToString(const Program& program);
 
 }  // namespace kflex
 

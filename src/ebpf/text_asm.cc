@@ -1,5 +1,6 @@
 #include "src/ebpf/text_asm.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdint>
@@ -16,6 +17,79 @@
 namespace kflex {
 
 namespace {
+
+// ---- Token table -----------------------------------------------------------
+// Each text spelling of an encoding, stated once. The parser tries a table's
+// tokens in order and takes the first that matches; the writer and the
+// listing look a token up by its encoding.
+
+template <typename T>
+struct Token {
+  const char* text;
+  T value;
+};
+
+template <typename T, size_t N, typename V>
+const char* TokenFor(const Token<T> (&table)[N], V value) {
+  for (const Token<T>& token : table) {
+    if (token.value == value) {
+      return token.text;
+    }
+  }
+  return nullptr;
+}
+
+template <typename T, size_t N>
+const Token<T>* FindToken(const Token<T> (&table)[N], std::string_view text) {
+  for (const Token<T>& token : table) {
+    if (text == token.text) {
+      return &token;
+    }
+  }
+  return nullptr;
+}
+
+// Compound-assignment ALU ops (`rD OP rS|imm`); MOV is `rD = rS|imm` and NEG
+// `rD = -rD`.
+constexpr Token<AluOp> kAluOps[] = {
+    {"<<=", BPF_LSH}, {">>=", BPF_RSH}, {"s>>=", BPF_ARSH}, {"+=", BPF_ADD},
+    {"-=", BPF_SUB},  {"*=", BPF_MUL},  {"/=", BPF_DIV},    {"%=", BPF_MOD},
+    {"&=", BPF_AND},  {"|=", BPF_OR},   {"^=", BPF_XOR},
+};
+
+// Conditions of `if rA COND rB|imm goto LABEL`; a token precedes its prefixes.
+constexpr Token<JmpOp> kConds[] = {
+    {"==", BPF_JEQ},  {"!=", BPF_JNE},  {"s>=", BPF_JSGE}, {"s<=", BPF_JSLE},
+    {"s>", BPF_JSGT}, {"s<", BPF_JSLT}, {">=", BPF_JGE},   {"<=", BPF_JLE},
+    {">", BPF_JGT},   {"<", BPF_JLT},   {"&", BPF_JSET},
+};
+
+// Access sizes of `*(uN*)(rB + off)`.
+constexpr Token<MemSize> kSizes[] = {
+    {"u8", BPF_B}, {"u16", BPF_H}, {"u32", BPF_W}, {"u64", BPF_DW},
+};
+
+// Atomic forms by their imm. Plain add is the statement `lock MEM += rS`; the
+// others are assignments `rS = TOKEN MEM`, where rS supplies the operand and
+// receives the old value (cmpxchg compares against r0).
+constexpr Token<int32_t> kAtomicOps[] = {
+    {"lock", BPF_ATOMIC_ADD},
+    {"lock_fetch_add", BPF_ATOMIC_ADD | BPF_ATOMIC_FETCH},
+    {"lock_xchg", BPF_ATOMIC_XCHG},
+    {"lock_cmpxchg", BPF_ATOMIC_CMPXCHG},
+};
+
+constexpr Token<Hook> kHooks[] = {
+    {"xdp", Hook::kXdp},
+    {"sk_skb", Hook::kSkSkb},
+    {"tracepoint", Hook::kTracepoint},
+    {"lsm", Hook::kLsm},
+};
+
+constexpr Token<ExtensionMode> kModes[] = {
+    {"kflex", ExtensionMode::kKflex},
+    {"ebpf", ExtensionMode::kEbpf},
+};
 
 // A tiny cursor-based tokenizer over one line.
 class Line {
@@ -41,6 +115,17 @@ class Line {
       return true;
     }
     return false;
+  }
+
+  // Consumes the first of `table`'s tokens that is next.
+  template <typename T, size_t N>
+  const Token<T>* EatToken(const Token<T> (&table)[N]) {
+    for (const Token<T>& token : table) {
+      if (Eat(token.text)) {
+        return &token;
+      }
+    }
+    return nullptr;
   }
 
   // Parses an identifier [A-Za-z_][A-Za-z0-9_]*.
@@ -131,18 +216,12 @@ class Line {
     if (!Eat("*(")) {
       return false;
     }
-    if (Eat("u8")) {
-      size = BPF_B;
-    } else if (Eat("u16")) {
-      size = BPF_H;
-    } else if (Eat("u32")) {
-      size = BPF_W;
-    } else if (Eat("u64")) {
-      size = BPF_DW;
-    } else {
+    const Token<MemSize>* size_token = EatToken(kSizes);
+    if (size_token == nullptr) {
       error = "expected u8/u16/u32/u64";
       return false;
     }
+    size = size_token->value;
     if (!Eat("*)") && !(Eat("*") && Eat(")"))) {
       error = "expected '*)'";
       return false;
@@ -195,29 +274,6 @@ class Line {
   size_t pos_ = 0;
 };
 
-struct OpSpec {
-  const char* token;
-  AluOp op;
-};
-
-// Ordered longest-first so "<<=" is tried before "<=".
-constexpr OpSpec kCompoundOps[] = {
-    {"<<=", BPF_LSH}, {">>=", BPF_RSH}, {"s>>=", BPF_ARSH}, {"+=", BPF_ADD},
-    {"-=", BPF_SUB},  {"*=", BPF_MUL},  {"/=", BPF_DIV},    {"%=", BPF_MOD},
-    {"&=", BPF_AND},  {"|=", BPF_OR},   {"^=", BPF_XOR},
-};
-
-struct CondSpec {
-  const char* token;
-  JmpOp op;
-};
-
-constexpr CondSpec kConds[] = {
-    {"==", BPF_JEQ},  {"!=", BPF_JNE},  {"s>=", BPF_JSGE}, {"s<=", BPF_JSLE},
-    {"s>", BPF_JSGT}, {"s<", BPF_JSLT}, {">=", BPF_JGE},   {"<=", BPF_JLE},
-    {">", BPF_JGT},   {"<", BPF_JLT},   {"&", BPF_JSET},
-};
-
 const HelperContract* FindHelperByName(const std::string& name) {
   // Probe the known id ranges; contracts are the single source of truth.
   for (int32_t id = 1; id <= 200; id++) {
@@ -267,23 +323,15 @@ class Parser {
         name = line.Rest();
       } else if (line.Eat(".hook")) {
         std::string h = line.Rest();
-        if (h == "xdp") {
-          hook = Hook::kXdp;
-        } else if (h == "sk_skb") {
-          hook = Hook::kSkSkb;
-        } else if (h == "tracepoint") {
-          hook = Hook::kTracepoint;
-        } else if (h == "lsm") {
-          hook = Hook::kLsm;
+        if (const Token<Hook>* token = FindToken(kHooks, h)) {
+          hook = token->value;
         } else {
           status = InvalidArgument("unknown hook '" + h + "'");
         }
       } else if (line.Eat(".mode")) {
         std::string m = line.Rest();
-        if (m == "kflex") {
-          mode = ExtensionMode::kKflex;
-        } else if (m == "ebpf") {
-          mode = ExtensionMode::kEbpf;
+        if (const Token<ExtensionMode>* token = FindToken(kModes, m)) {
+          mode = token->value;
         } else {
           status = InvalidArgument("unknown mode '" + m + "'");
         }
@@ -353,7 +401,7 @@ class Parser {
     if (line.Eat("if")) {
       return ParseCond(line);
     }
-    if (line.Eat("lock")) {
+    if (line.Eat(TokenFor(kAtomicOps, BPF_ATOMIC_ADD))) {
       MemSize size;
       Reg base;
       int16_t off;
@@ -361,7 +409,7 @@ class Parser {
       if (!line.MemOperand(size, base, off, error)) {
         return InvalidArgument("lock: " + (error.empty() ? "expected memory operand" : error));
       }
-      if (!line.Eat("+=")) {
+      if (!line.Eat(TokenFor(kAluOps, BPF_ADD))) {
         return InvalidArgument("lock supports '+=' only");
       }
       auto src = line.Register();
@@ -405,22 +453,21 @@ class Parser {
       if (line.Eat("=")) {
         return ParseAssignment(line, *dst);
       }
-      for (const OpSpec& spec : kCompoundOps) {
-        if (line.Eat(spec.token)) {
-          auto src = line.Register();
-          if (src.has_value()) {
-            asm_.AluReg(spec.op, *dst, *src);
-            return OkStatus();
-          }
-          auto imm = line.Int();
-          if (imm.has_value()) {
-            asm_.AluImm(spec.op, *dst, static_cast<int32_t>(*imm));
-            return OkStatus();
-          }
-          return InvalidArgument("expected register or immediate operand");
-        }
+      const Token<AluOp>* op = line.EatToken(kAluOps);
+      if (op == nullptr) {
+        return InvalidArgument("unknown operator after register");
       }
-      return InvalidArgument("unknown operator after register");
+      auto src = line.Register();
+      if (src.has_value()) {
+        asm_.AluReg(op->value, *dst, *src);
+        return OkStatus();
+      }
+      auto imm = line.Int();
+      if (imm.has_value()) {
+        asm_.AluImm(op->value, *dst, static_cast<int32_t>(*imm));
+        return OkStatus();
+      }
+      return InvalidArgument("expected register or immediate operand");
     }
 
     // wD ... forms: the 32-bit ALU encodings.
@@ -429,22 +476,21 @@ class Parser {
       if (line.Eat("=")) {
         return ParseAssignment32(line, *wdst);
       }
-      for (const OpSpec& spec : kCompoundOps) {
-        if (line.Eat(spec.token)) {
-          auto src = line.RegisterW();
-          if (src.has_value()) {
-            asm_.AluReg(spec.op, *wdst, *src, /*is64=*/false);
-            return OkStatus();
-          }
-          auto imm = line.Int();
-          if (imm.has_value()) {
-            asm_.AluImm(spec.op, *wdst, static_cast<int32_t>(*imm), /*is64=*/false);
-            return OkStatus();
-          }
-          return InvalidArgument("expected w-register or immediate operand");
-        }
+      const Token<AluOp>* op = line.EatToken(kAluOps);
+      if (op == nullptr) {
+        return InvalidArgument("unknown operator after register");
       }
-      return InvalidArgument("unknown operator after register");
+      auto src = line.RegisterW();
+      if (src.has_value()) {
+        asm_.AluReg(op->value, *wdst, *src, /*is64=*/false);
+        return OkStatus();
+      }
+      auto imm = line.Int();
+      if (imm.has_value()) {
+        asm_.AluImm(op->value, *wdst, static_cast<int32_t>(*imm), /*is64=*/false);
+        return OkStatus();
+      }
+      return InvalidArgument("expected w-register or immediate operand");
     }
 
     // label:
@@ -474,14 +520,10 @@ class Parser {
     // Atomic read-modify-write assignments: the LHS register supplies the
     // operand and receives the memory's old value (cmpxchg compares r0).
     // Checked before the keyword forms; "lock_" cannot collide with them.
-    if (line.Eat("lock_fetch_add")) {
-      return ParseAtomicAssign(line, dst, AtomicForm::kFetchAdd);
-    }
-    if (line.Eat("lock_xchg")) {
-      return ParseAtomicAssign(line, dst, AtomicForm::kXchg);
-    }
-    if (line.Eat("lock_cmpxchg")) {
-      return ParseAtomicAssign(line, dst, AtomicForm::kCmpXchg);
+    for (const Token<int32_t>& form : kAtomicOps) {
+      if (form.value != BPF_ATOMIC_ADD && line.Eat(form.text)) {
+        return ParseAtomicAssign(line, dst, form.value);
+      }
     }
     if (line.Eat("heap")) {
       auto off = line.Int();
@@ -563,9 +605,7 @@ class Parser {
     return InvalidArgument("unparseable 32-bit assignment source");
   }
 
-  enum class AtomicForm { kFetchAdd, kXchg, kCmpXchg };
-
-  Status ParseAtomicAssign(Line& line, Reg operand, AtomicForm form) {
+  Status ParseAtomicAssign(Line& line, Reg operand, int32_t atomic_op) {
     MemSize size;
     Reg base;
     int16_t off;
@@ -574,17 +614,7 @@ class Parser {
       return InvalidArgument("atomic: " +
                              (error.empty() ? "expected memory operand" : error));
     }
-    switch (form) {
-      case AtomicForm::kFetchAdd:
-        asm_.AtomicAdd(size, base, off, operand, /*fetch=*/true);
-        break;
-      case AtomicForm::kXchg:
-        asm_.AtomicXchg(size, base, off, operand);
-        break;
-      case AtomicForm::kCmpXchg:
-        asm_.AtomicCmpXchg(size, base, off, operand);
-        break;
-    }
+    asm_.Emit(AtomicInsn(size, base, off, operand, atomic_op));
     return OkStatus();
   }
 
@@ -599,13 +629,7 @@ class Parser {
         return InvalidArgument("if needs a register on the left");
       }
     }
-    const CondSpec* cond = nullptr;
-    for (const CondSpec& spec : kConds) {
-      if (line.Eat(spec.token)) {
-        cond = &spec;
-        break;
-      }
-    }
+    const Token<JmpOp>* cond = line.EatToken(kConds);
     if (cond == nullptr) {
       return InvalidArgument("unknown comparison operator");
     }
@@ -625,9 +649,9 @@ class Parser {
       return InvalidArgument("goto needs a label");
     }
     if (rhs_reg.has_value()) {
-      asm_.JmpReg(cond->op, *lhs, *rhs_reg, LabelFor(*label), is64);
+      asm_.JmpReg(cond->value, *lhs, *rhs_reg, LabelFor(*label), is64);
     } else {
-      asm_.JmpImm(cond->op, *lhs, static_cast<int32_t>(*rhs_imm), LabelFor(*label), is64);
+      asm_.JmpImm(cond->value, *lhs, static_cast<int32_t>(*rhs_imm), LabelFor(*label), is64);
     }
     return OkStatus();
   }
@@ -640,76 +664,6 @@ class Parser {
 
 // ---- Writer ----------------------------------------------------------------
 
-const char* SizeName(uint8_t size_field) {
-  switch (size_field) {
-    case BPF_B:
-      return "u8";
-    case BPF_H:
-      return "u16";
-    case BPF_W:
-      return "u32";
-    case BPF_DW:
-      return "u64";
-  }
-  return nullptr;
-}
-
-const char* AluToken(uint8_t op) {
-  switch (op) {
-    case BPF_ADD:
-      return "+=";
-    case BPF_SUB:
-      return "-=";
-    case BPF_MUL:
-      return "*=";
-    case BPF_DIV:
-      return "/=";
-    case BPF_MOD:
-      return "%=";
-    case BPF_AND:
-      return "&=";
-    case BPF_OR:
-      return "|=";
-    case BPF_XOR:
-      return "^=";
-    case BPF_LSH:
-      return "<<=";
-    case BPF_RSH:
-      return ">>=";
-    case BPF_ARSH:
-      return "s>>=";
-  }
-  return nullptr;
-}
-
-const char* CondToken(uint8_t op) {
-  switch (op) {
-    case BPF_JEQ:
-      return "==";
-    case BPF_JNE:
-      return "!=";
-    case BPF_JGT:
-      return ">";
-    case BPF_JGE:
-      return ">=";
-    case BPF_JLT:
-      return "<";
-    case BPF_JLE:
-      return "<=";
-    case BPF_JSGT:
-      return "s>";
-    case BPF_JSGE:
-      return "s>=";
-    case BPF_JSLT:
-      return "s<";
-    case BPF_JSLE:
-      return "s<=";
-    case BPF_JSET:
-      return "&";
-  }
-  return nullptr;
-}
-
 std::string RegName(uint8_t reg, bool is64) {
   return (is64 ? "r" : "w") + std::to_string(reg);
 }
@@ -718,7 +672,7 @@ std::string RegName(uint8_t reg, bool is64) {
 // parser's MemOperand accepts symmetrically.
 std::string MemRef(uint8_t size_field, uint8_t base, int16_t off) {
   std::string s = "*(";
-  s += SizeName(size_field);
+  s += TokenFor(kSizes, size_field);
   s += "*)(r";
   s += std::to_string(base);
   if (off < 0) {
@@ -730,15 +684,154 @@ std::string MemRef(uint8_t size_field, uint8_t base, int16_t off) {
   return s;
 }
 
-std::string HexImm64(uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%llx", static_cast<unsigned long long>(value));
+std::string Format(const char* format, auto... args) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), format, args...);
   return buf;
 }
 
-Status Inexpressible(size_t index, const Insn& insn, const std::string& why) {
-  return InvalidArgument("insn " + std::to_string(index) + " (" + InsnToString(insn) +
-                         ") not expressible in text assembly: " + why);
+// Renders the instruction at `pc` as a .kasm statement; `next` is the slot
+// after it (an ld_imm64's data slot), or null. A jump names its target's
+// label, or shows its offset when the target has none. Encodings the
+// grammar has no statement for render in the listing-only forms of
+// text_asm.h.
+std::string Statement(const Insn& insn, size_t pc, const Insn* next,
+                      const std::map<size_t, std::string>& labels) {
+  const bool wide = insn.Class() != BPF_ALU && insn.Class() != BPF_JMP32;
+  const std::string dst = RegName(insn.dst, wide);
+  const std::string rhs =
+      insn.SrcField() == BPF_X ? RegName(insn.src, wide) : std::to_string(insn.imm);
+  auto label = labels.find(static_cast<size_t>(static_cast<int64_t>(pc) + 1 + insn.off));
+  const std::string target = label != labels.end() ? label->second : Format("%+d", insn.off);
+  switch (insn.Class()) {
+    case BPF_ALU:
+    case BPF_ALU64:
+      if (insn.AluOpField() == BPF_NEG) {
+        return dst + " = -" + dst;
+      }
+      if (insn.AluOpField() == BPF_MOV) {
+        return dst + " = " + rhs;
+      }
+      if (const char* op = TokenFor(kAluOps, insn.AluOpField())) {
+        return dst + " " + op + " " + rhs;
+      }
+      break;
+    case BPF_LD:
+      if (insn.opcode == kKieSanitizeOpcode) {
+        return "sanitize " + dst;
+      }
+      if (insn.opcode == kKieTranslateOpcode) {
+        return "translate " + dst;
+      }
+      if (insn.opcode == kKieFuelCheckOpcode) {
+        return "fuelcheck";
+      }
+      if (insn.IsLdImm64() && next != nullptr) {
+        const uint64_t value = LdImm64Value(insn, *next);
+        switch (insn.src) {
+          case kPseudoNone:
+            return dst + " = imm64 " + Format("0x%llx", static_cast<unsigned long long>(value));
+          case kPseudoHeapVar:
+            return dst + " = heap " + std::to_string(value);
+          case kPseudoMapId:
+            return dst + " = map " + std::to_string(value);
+        }
+      }
+      break;
+    case BPF_LDX:
+      if (insn.IsLoad()) {
+        return dst + " = " + MemRef(insn.SizeField(), insn.src, insn.off);
+      }
+      break;
+    case BPF_ST:
+    case BPF_STX: {
+      const std::string mem = MemRef(insn.SizeField(), insn.dst, insn.off);
+      const std::string src = RegName(insn.src, /*is64=*/true);
+      if (insn.IsStore()) {
+        return mem + " = " + (insn.Class() == BPF_STX ? src : std::to_string(insn.imm));
+      }
+      const char* op = insn.IsAtomic() ? TokenFor(kAtomicOps, insn.imm) : nullptr;
+      if (op != nullptr && insn.imm == BPF_ATOMIC_ADD) {
+        return std::string(op) + " " + mem + " " + TokenFor(kAluOps, BPF_ADD) + " " + src;
+      }
+      if (op != nullptr) {
+        return src + " = " + op + " " + mem;
+      }
+      break;
+    }
+    case BPF_JMP:
+    case BPF_JMP32:
+      if (insn.IsExit()) {
+        return "exit";
+      }
+      if (insn.IsCall()) {
+        return "call " + std::to_string(insn.imm);
+      }
+      if (insn.IsUncondJmp()) {
+        return "goto " + target;
+      }
+      if (const char* cond = insn.IsCondJmp() ? TokenFor(kConds, insn.AluOpField()) : nullptr) {
+        return "if " + dst + " " + cond + " " + rhs + " goto " + target;
+      }
+      break;
+  }
+  return Format("raw op=0x%02x dst=%u src=%u off=%d imm=%d", insn.opcode, insn.dst, insn.src,
+                insn.off, insn.imm);
+}
+
+// Renders `program` as .kasm: the directives, then one statement per
+// instruction, with labels L0, L1, ... at jump targets in ascending order so
+// rendering is deterministic (the round-trip fixpoint depends on the parsed
+// program re-rendering byte for byte). A listing also ends each statement
+// with its pc, as a comment.
+std::string RenderProgram(const Program& program, bool listing) {
+  const std::vector<Insn>& insns = program.insns;
+  std::vector<bool> is_hi_slot(insns.size(), false);  // ld_imm64 data slots
+  std::set<size_t> targets;
+  for (size_t i = 0; i < insns.size(); i++) {
+    const Insn& insn = insns[i];
+    if (is_hi_slot[i]) {
+      continue;
+    }
+    if (insn.IsLdImm64() && i + 1 < insns.size()) {
+      is_hi_slot[i + 1] = true;
+    }
+    const int64_t target = static_cast<int64_t>(i) + 1 + insn.off;
+    if ((insn.IsCondJmp() || insn.IsUncondJmp()) && target >= 0 &&
+        target <= static_cast<int64_t>(insns.size())) {
+      targets.insert(static_cast<size_t>(target));
+    }
+  }
+  std::map<size_t, std::string> labels;
+  for (size_t t : targets) {
+    if (t == insns.size() || !is_hi_slot[t]) {
+      labels.emplace(t, "L" + std::to_string(labels.size()));
+    }
+  }
+
+  std::string out = ".name " + program.name + "\n.hook " + HookName(program.hook) +
+                    "\n.mode " + TokenFor(kModes, program.mode) + "\n";
+  if (program.heap_size > 0) {
+    out += ".heap " + std::to_string(program.heap_size) + "\n";
+  }
+  out += "\n";
+  for (size_t i = 0; i <= insns.size(); i++) {
+    auto label = labels.find(i);
+    if (label != labels.end()) {
+      out += label->second + ":\n";
+    }
+    if (i == insns.size() || is_hi_slot[i]) {
+      continue;
+    }
+    std::string stmt =
+        Statement(insns[i], i, i + 1 < insns.size() ? &insns[i + 1] : nullptr, labels);
+    if (listing) {
+      stmt.resize(std::max<size_t>(stmt.size() + 1, 32), ' ');
+      stmt += "; pc " + std::to_string(i);
+    }
+    out += stmt + "\n";
+  }
+  return out;
 }
 
 }  // namespace
@@ -749,251 +842,34 @@ StatusOr<Program> ParseTextProgram(std::string_view source) {
 }
 
 StatusOr<std::string> ProgramToTextAsm(const Program& program) {
-  const std::vector<Insn>& insns = program.insns;
-  if (program.name.find('\n') != std::string::npos ||
-      program.name.find(';') != std::string::npos) {
-    return InvalidArgument("program name not expressible in text assembly");
+  // Exact by construction: text the parser does not read back as `program`
+  // is refused.
+  std::string text = RenderProgram(program, /*listing=*/false);
+  StatusOr<Program> back = ParseTextProgram(text);
+  if (!back.ok()) {
+    return InvalidArgument("not expressible in text assembly: " + back.status().message());
   }
+  auto diff = std::mismatch(program.insns.begin(), program.insns.end(), back->insns.begin(),
+                            back->insns.end());
+  if (diff.first != program.insns.end()) {
+    return InvalidArgument("insn " + std::to_string(diff.first - program.insns.begin()) + " (" +
+                           InsnToString(*diff.first) + ") not expressible in text assembly");
+  }
+  if (back->insns.size() != program.insns.size() || back->name != program.name) {
+    return InvalidArgument("program not expressible in text assembly");
+  }
+  return text;
+}
 
-  // Mark the data slots of LD_IMM64 pairs; they are not instructions.
-  std::vector<bool> is_hi_slot(insns.size(), false);
-  for (size_t i = 0; i < insns.size(); i++) {
-    if (is_hi_slot[i]) {
-      continue;
-    }
-    if (insns[i].IsLdImm64()) {
-      if (i + 1 >= insns.size()) {
-        return InvalidArgument("truncated ld_imm64 pair at insn " + std::to_string(i));
-      }
-      is_hi_slot[i + 1] = true;
-    }
-  }
+std::string ProgramToString(const Program& program) {
+  return RenderProgram(program, /*listing=*/true);
+}
 
-  // Discover jump targets and name them L0, L1, ... in ascending target
-  // order, so rendering is deterministic (the round-trip fixpoint depends on
-  // the parsed program re-rendering byte for byte).
-  std::set<size_t> targets;
-  for (size_t i = 0; i < insns.size(); i++) {
-    if (is_hi_slot[i]) {
-      continue;
-    }
-    const Insn& insn = insns[i];
-    if (insn.IsCondJmp() || insn.IsUncondJmp()) {
-      int64_t target = static_cast<int64_t>(i) + 1 + insn.off;
-      if (target < 0 || target > static_cast<int64_t>(insns.size())) {
-        return InvalidArgument("jump target out of range at insn " + std::to_string(i));
-      }
-      if (target < static_cast<int64_t>(insns.size()) && is_hi_slot[target]) {
-        return InvalidArgument("jump into ld_imm64 pair at insn " + std::to_string(i));
-      }
-      targets.insert(static_cast<size_t>(target));
-    }
-  }
-  std::map<size_t, std::string> label_names;
-  {
-    size_t next = 0;
-    for (size_t t : targets) {
-      label_names[t] = "L" + std::to_string(next++);
-    }
-  }
+std::string InsnToString(const Insn& insn) { return Statement(insn, 0, nullptr, {}); }
 
-  std::string out;
-  out += ".name " + program.name + "\n";
-  out += ".hook " + std::string(HookName(program.hook)) + "\n";
-  out += ".mode " + std::string(program.mode == ExtensionMode::kKflex ? "kflex" : "ebpf") + "\n";
-  if (program.heap_size > 0) {
-    out += ".heap " + std::to_string(program.heap_size) + "\n";
-  }
-  out += "\n";
-
-  for (size_t i = 0; i < insns.size(); i++) {
-    if (is_hi_slot[i]) {
-      continue;
-    }
-    auto label_it = label_names.find(i);
-    if (label_it != label_names.end()) {
-      out += label_it->second + ":\n";
-    }
-    const Insn& insn = insns[i];
-    if (insn.dst > kMaxUserReg || insn.src > kMaxUserReg) {
-      if (!insn.IsLdImm64()) {  // ld_imm64 carries a pseudo tag in src.
-        return Inexpressible(i, insn, "uses a reserved register");
-      }
-    }
-    switch (insn.Class()) {
-      case BPF_ALU:
-      case BPF_ALU64: {
-        const bool is64 = insn.Class() == BPF_ALU64;
-        const uint8_t op = insn.AluOpField();
-        if (insn.off != 0) {
-          return Inexpressible(i, insn, "nonzero offset on ALU op");
-        }
-        const std::string dst = RegName(insn.dst, is64);
-        if (op == BPF_NEG) {
-          if (insn.SrcField() != BPF_K || insn.src != 0 || insn.imm != 0) {
-            return Inexpressible(i, insn, "malformed NEG encoding");
-          }
-          out += dst + " = -" + dst + "\n";
-          break;
-        }
-        const bool use_reg = insn.SrcField() == BPF_X;
-        if (use_reg && insn.imm != 0) {
-          return Inexpressible(i, insn, "register ALU op with nonzero immediate");
-        }
-        if (!use_reg && insn.src != 0) {
-          return Inexpressible(i, insn, "immediate ALU op with nonzero src register");
-        }
-        const std::string rhs =
-            use_reg ? RegName(insn.src, is64) : std::to_string(insn.imm);
-        if (op == BPF_MOV) {
-          out += dst + " = " + rhs + "\n";
-        } else {
-          const char* token = AluToken(op);
-          if (token == nullptr) {
-            return Inexpressible(i, insn, "unknown ALU op");
-          }
-          out += dst + " " + token + " " + rhs + "\n";
-        }
-        break;
-      }
-      case BPF_LD: {
-        if (!insn.IsLdImm64()) {
-          return Inexpressible(i, insn, "Kie instrumentation pseudo-instruction");
-        }
-        const Insn& hi = insns[i + 1];
-        if (insn.off != 0 || hi.opcode != 0 || hi.dst != 0 || hi.src != 0 || hi.off != 0) {
-          return Inexpressible(i, insn, "malformed ld_imm64 pair");
-        }
-        const uint64_t value = LdImm64Value(insn, hi);
-        const std::string dst = RegName(insn.dst, /*is64=*/true);
-        switch (insn.src) {
-          case kPseudoNone:
-            out += dst + " = imm64 " + HexImm64(value) + "\n";
-            break;
-          case kPseudoHeapVar:
-            if (value > static_cast<uint64_t>(INT64_MAX)) {
-              return Inexpressible(i, insn, "heap offset out of range");
-            }
-            out += dst + " = heap " + std::to_string(value) + "\n";
-            break;
-          case kPseudoMapId:
-            if (value == 0 || value > UINT32_MAX) {
-              return Inexpressible(i, insn, "map id out of range");
-            }
-            out += dst + " = map " + std::to_string(value) + "\n";
-            break;
-          default:
-            return Inexpressible(i, insn, "unknown ld_imm64 pseudo tag");
-        }
-        break;
-      }
-      case BPF_LDX: {
-        if (!insn.IsLoad() || SizeName(insn.SizeField()) == nullptr) {
-          return Inexpressible(i, insn, "unknown load encoding");
-        }
-        if (insn.imm != 0) {
-          return Inexpressible(i, insn, "load with nonzero immediate");
-        }
-        out += RegName(insn.dst, /*is64=*/true) + " = " +
-               MemRef(insn.SizeField(), insn.src, insn.off) + "\n";
-        break;
-      }
-      case BPF_ST: {
-        if (!insn.IsStore()) {
-          return Inexpressible(i, insn, "unknown store encoding");
-        }
-        if (insn.src != 0) {
-          return Inexpressible(i, insn, "immediate store with nonzero src register");
-        }
-        out += MemRef(insn.SizeField(), insn.dst, insn.off) + " = " +
-               std::to_string(insn.imm) + "\n";
-        break;
-      }
-      case BPF_STX: {
-        if (insn.IsStore()) {
-          if (insn.imm != 0) {
-            return Inexpressible(i, insn, "register store with nonzero immediate");
-          }
-          out += MemRef(insn.SizeField(), insn.dst, insn.off) + " = " +
-                 RegName(insn.src, /*is64=*/true) + "\n";
-          break;
-        }
-        if (!insn.IsAtomic()) {
-          return Inexpressible(i, insn, "unknown STX encoding");
-        }
-        const std::string mem = MemRef(insn.SizeField(), insn.dst, insn.off);
-        const std::string src = RegName(insn.src, /*is64=*/true);
-        switch (insn.imm) {
-          case BPF_ATOMIC_ADD:
-            out += "lock " + mem + " += " + src + "\n";
-            break;
-          case BPF_ATOMIC_ADD | BPF_ATOMIC_FETCH:
-            out += src + " = lock_fetch_add " + mem + "\n";
-            break;
-          case BPF_ATOMIC_XCHG:
-            out += src + " = lock_xchg " + mem + "\n";
-            break;
-          case BPF_ATOMIC_CMPXCHG:
-            out += src + " = lock_cmpxchg " + mem + "\n";
-            break;
-          default:
-            return Inexpressible(i, insn, "unknown atomic operation");
-        }
-        break;
-      }
-      case BPF_JMP:
-      case BPF_JMP32: {
-        if (insn.IsExit()) {
-          if (insn.dst != 0 || insn.src != 0 || insn.off != 0 || insn.imm != 0) {
-            return Inexpressible(i, insn, "malformed exit");
-          }
-          out += "exit\n";
-          break;
-        }
-        if (insn.IsCall()) {
-          if (insn.dst != 0 || insn.src != 0 || insn.off != 0) {
-            return Inexpressible(i, insn, "malformed call");
-          }
-          out += "call " + std::to_string(insn.imm) + "\n";
-          break;
-        }
-        if (insn.IsUncondJmp()) {
-          if (insn.dst != 0 || insn.src != 0 || insn.imm != 0) {
-            return Inexpressible(i, insn, "malformed goto");
-          }
-          out += "goto " + label_names.at(i + 1 + insn.off) + "\n";
-          break;
-        }
-        if (!insn.IsCondJmp()) {
-          return Inexpressible(i, insn, "unknown jump encoding");
-        }
-        const bool is64 = insn.Class() == BPF_JMP;
-        const char* token = CondToken(insn.AluOpField());
-        if (token == nullptr) {
-          return Inexpressible(i, insn, "unknown comparison");
-        }
-        const bool use_reg = insn.SrcField() == BPF_X;
-        if (use_reg && insn.imm != 0) {
-          return Inexpressible(i, insn, "register compare with nonzero immediate");
-        }
-        if (!use_reg && insn.src != 0) {
-          return Inexpressible(i, insn, "immediate compare with nonzero src register");
-        }
-        const std::string rhs =
-            use_reg ? RegName(insn.src, is64) : std::to_string(insn.imm);
-        out += "if " + RegName(insn.dst, is64) + " " + token + " " + rhs + " goto " +
-               label_names.at(i + 1 + insn.off) + "\n";
-        break;
-      }
-      default:
-        return Inexpressible(i, insn, "unknown instruction class");
-    }
-  }
-  auto trailing = label_names.find(insns.size());
-  if (trailing != label_names.end()) {
-    out += trailing->second + ":\n";
-  }
-  return out;
+const char* HookName(Hook hook) {
+  const char* name = TokenFor(kHooks, hook);
+  return name != nullptr ? name : "?";
 }
 
 }  // namespace kflex

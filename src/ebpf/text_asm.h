@@ -33,6 +33,19 @@
 // labels (`name:`), comments (`;` to end of line). 32-bit ALU and JMP32
 // forms use `wN` registers in place of `rN`: `w2 += 5`, `w3 = w4`,
 // `w2 = -w2`, `if w1 == 7 goto out`.
+//
+// This grammar is the only text form of bytecode: the parser, the writer and
+// the listing read one token table. The listing (ProgramToString, behind
+// `kflex_run --dump`, `kflex-lint --opt-report` and test diagnostics) is the
+// writer's text with each statement's pc as a trailing comment, so it parses
+// back to the same instructions. It also renders what the grammar cannot
+// express, in forms only a listing shows:
+//   sanitize rN / translate rN   Kie's heap-address rewrites of rN
+//   fuelcheck                    Kie's cancellation fuel check
+//   r11, r12                     Kie's reserved scratch registers
+//   goto +N                      a jump with no label (InsnToString, or a
+//                                target that is not an instruction)
+//   raw op=0xOP dst=D src=S off=O imm=I   any other encoding
 #ifndef SRC_EBPF_TEXT_ASM_H_
 #define SRC_EBPF_TEXT_ASM_H_
 
@@ -52,9 +65,20 @@ StatusOr<Program> ParseTextProgram(std::string_view source);
 // the parser: ParseTextProgram(ProgramToTextAsm(p)) reproduces p's
 // instructions exactly, and re-rendering the parsed program reproduces the
 // text byte for byte (property-tested over the differential-fuzz corpus by
-// asm_roundtrip_test). Fails on programs containing instructions the text
-// format cannot express (Kie instrumentation pseudo-instructions).
+// asm_roundtrip_test). Fails on any program its text does not parse back
+// to: Kie pseudo-instructions, reserved registers, malformed encodings, a
+// name that `.name` cannot carry (a ';', a newline, leading blanks).
 StatusOr<std::string> ProgramToTextAsm(const Program& program);
+
+// The listing of a program: never fails. For every program ProgramToTextAsm
+// accepts, ParseTextProgram(ProgramToString(p)) reproduces p's instructions.
+std::string ProgramToString(const Program& program);
+
+// One statement of the listing, without labels (a jump shows its offset).
+std::string InsnToString(const Insn& insn);
+
+// The `.hook` name of `hook`.
+const char* HookName(Hook hook);
 
 }  // namespace kflex
 

@@ -14,9 +14,6 @@
 namespace kflex {
 namespace {
 
-std::atomic<uint64_t> g_live_bytes{0};
-std::atomic<uint64_t> g_total_bytes{0};
-
 size_t PageRound(size_t n) {
   size_t page = 4096;
 #if defined(KFLEX_JIT_HAVE_MMAP)
@@ -63,7 +60,6 @@ bool CodeBuffer::Allocate(size_t size) {
   if (p == MAP_FAILED) return false;
   data_ = static_cast<uint8_t*>(p);
   mapped_size_ = rounded;
-  CodeCache::OnMap(rounded);
   return true;
 #else
   return false;
@@ -98,29 +94,11 @@ void CodeBuffer::Release() {
 #if defined(KFLEX_JIT_HAVE_MMAP)
   if (data_ != nullptr) {
     munmap(data_, mapped_size_);
-    CodeCache::OnUnmap(mapped_size_);
   }
 #endif
   data_ = nullptr;
   mapped_size_ = 0;
   code_size_ = 0;
-}
-
-void CodeCache::OnMap(size_t bytes) {
-  g_live_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  g_total_bytes.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-void CodeCache::OnUnmap(size_t bytes) {
-  g_live_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-}
-
-uint64_t CodeCache::live_bytes() {
-  return g_live_bytes.load(std::memory_order_relaxed);
-}
-
-uint64_t CodeCache::total_mapped_bytes() {
-  return g_total_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace kflex

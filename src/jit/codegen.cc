@@ -1625,11 +1625,6 @@ class Compiler {
 }  // namespace
 
 JitCompileResult JitCompile(const InstrumentedProgram& iprog,
-                            const JitOptions& options) {
-  return JitCompile(iprog, options, JitCompileEnv{});
-}
-
-JitCompileResult JitCompile(const InstrumentedProgram& iprog,
                             const JitOptions& options,
                             const JitCompileEnv& env) {
   auto t0 = std::chrono::steady_clock::now();
@@ -1673,11 +1668,6 @@ JitCompileResult JitCompile(const InstrumentedProgram& iprog,
 }
 
 #else  // !x86-64: compile-time fallback
-
-JitCompileResult JitCompile(const InstrumentedProgram& iprog,
-                            const JitOptions& options) {
-  return JitCompile(iprog, options, JitCompileEnv{});
-}
 
 JitCompileResult JitCompile(const InstrumentedProgram& iprog,
                             const JitOptions& options,

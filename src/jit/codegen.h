@@ -128,8 +128,6 @@ struct JitCompileEnv {
 // Compiles the instrumented program. On any unsupported construct returns a
 // null program with a human-readable fallback reason; never throws.
 JitCompileResult JitCompile(const InstrumentedProgram& iprog,
-                            const JitOptions& options);
-JitCompileResult JitCompile(const InstrumentedProgram& iprog,
                             const JitOptions& options, const JitCompileEnv& env);
 
 }  // namespace kflex

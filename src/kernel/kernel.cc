@@ -19,10 +19,6 @@ Status MockKernel::Attach(ExtensionId id) {
 
 void MockKernel::Detach(Hook hook) { attached_[static_cast<size_t>(hook)] = 0; }
 
-ExtensionId MockKernel::Attached(Hook hook) const {
-  return attached_[static_cast<size_t>(hook)];
-}
-
 InvokeResult MockKernel::Deliver(Hook hook, int cpu, uint8_t* ctx, uint32_t ctx_size) {
   ExtensionId id = attached_[static_cast<size_t>(hook)];
   if (id == 0) {

@@ -25,7 +25,6 @@ class MockKernel {
   // Attaches a loaded extension to its hook (one extension per hook).
   Status Attach(ExtensionId id);
   void Detach(Hook hook);
-  ExtensionId Attached(Hook hook) const;
 
   // Delivers a hook event. Returns the extension verdict; if no live
   // extension is attached, returns the hook's pass-through verdict so the

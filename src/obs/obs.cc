@@ -237,17 +237,6 @@ uint64_t Obs::TraceEmitted() const {
   return total;
 }
 
-ObsSnapshot Obs::SnapshotMetrics() const {
-  std::vector<uint32_t> ids;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 1; i < metrics_.size(); i++) {
-      ids.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return SnapshotMetrics(ids);
-}
-
 ObsSnapshot Obs::SnapshotMetrics(const std::vector<uint32_t>& ids) const {
   ObsSnapshot snap;
   uint32_t flags = g_obs_flags.load(std::memory_order_relaxed);

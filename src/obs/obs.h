@@ -303,9 +303,8 @@ class Obs {
   uint64_t TraceDropped() const;
   uint64_t TraceEmitted() const;
 
-  // Full snapshot: all registered extensions. ids: restrict to these obs
-  // ids (plus the global slot) — Runtime::SnapshotMetrics passes its own.
-  ObsSnapshot SnapshotMetrics() const;
+  // Snapshot of these obs ids (plus the global slot); Runtime::SnapshotMetrics
+  // passes its own.
   ObsSnapshot SnapshotMetrics(const std::vector<uint32_t>& ids) const;
 
   // Clears rings, counters and histograms (not registrations). Tests only.

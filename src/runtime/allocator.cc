@@ -147,36 +147,6 @@ bool HeapAllocator::Free(int cpu, uint64_t off) {
   return true;
 }
 
-void HeapAllocator::RefillCaches() {
-  for (auto& pcpu_ptr : cpus_) {
-    PerCpu& pcpu = *pcpu_ptr;
-    for (int cls = 0; cls < kNumClasses; cls++) {
-      size_t have;
-      {
-        std::lock_guard<std::mutex> lock(pcpu.mu);
-        have = pcpu.cache[static_cast<size_t>(cls)].size();
-      }
-      if (have >= kCacheRefill / 2) {
-        continue;
-      }
-      std::vector<uint64_t> batch;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto& global = global_[static_cast<size_t>(cls)];
-        if (global.empty() && !CarvePageLocked(cls)) {
-          continue;
-        }
-        size_t take = std::min(global.size(), kCacheRefill);
-        batch.assign(global.end() - static_cast<ptrdiff_t>(take), global.end());
-        global.resize(global.size() - take);
-      }
-      std::lock_guard<std::mutex> lock(pcpu.mu);
-      auto& cache = pcpu.cache[static_cast<size_t>(cls)];
-      cache.insert(cache.end(), batch.begin(), batch.end());
-    }
-  }
-}
-
 HeapAllocator::Stats HeapAllocator::GetStats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;

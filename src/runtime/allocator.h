@@ -3,9 +3,9 @@
 // Size-class slab allocator over an extension heap: per-CPU object caches in
 // front of a global free list, with pages carved on demand from the heap's
 // dynamic region (which also populates their page-table presence — demand
-// paging). kflex_malloc()/kflex_free() helpers call into this allocator; a
-// background refill thread keeps per-CPU caches warm, mirroring the
-// user-space refiller described in §4.1.
+// paging). kflex_malloc()/kflex_free() helpers call into this allocator. A
+// per-CPU cache that misses pulls a batch from the global list inside Alloc;
+// the paper's user-space refiller (§4.1) has no background counterpart here.
 #ifndef SRC_RUNTIME_ALLOCATOR_H_
 #define SRC_RUNTIME_ALLOCATOR_H_
 
@@ -40,10 +40,6 @@ class HeapAllocator {
   // Frees an allocation by heap offset. Returns false for addresses that are
   // not live allocations (tolerated: extensions may pass garbage).
   bool Free(int cpu, uint64_t off);
-
-  // Moves surplus objects between the global list and low per-CPU caches;
-  // called by the runtime's refiller thread.
-  void RefillCaches();
 
   static int ClassForSize(uint64_t size);
   static uint64_t ClassSize(int cls) { return kMinClass << cls; }

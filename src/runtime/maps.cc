@@ -252,36 +252,6 @@ StatusOr<MapDescriptor> MapRegistry::CreateHash(uint32_t key_size, uint32_t valu
   return desc;
 }
 
-StatusOr<PartitionedMapDesc> MapRegistry::CreateHashPartitions(
-    uint32_t key_size, uint32_t value_size, uint64_t max_entries, int partitions,
-    MapPartitionMode mode) {
-  if (partitions <= 0) {
-    return InvalidArgument("partition count must be positive");
-  }
-  PartitionedMapDesc out;
-  out.mode = mode;
-  if (mode == MapPartitionMode::kShared) {
-    auto desc = CreateHash(key_size, value_size, max_entries);
-    if (!desc.ok()) {
-      return desc.status();
-    }
-    out.parts.push_back(*desc);
-    return out;
-  }
-  // Split capacity evenly, rounding up so the partitioned aggregate never
-  // holds fewer entries than the shared map it replaces.
-  uint64_t per_part = (max_entries + partitions - 1) / partitions;
-  out.parts.reserve(partitions);
-  for (int i = 0; i < partitions; i++) {
-    auto desc = CreateHash(key_size, value_size, per_part);
-    if (!desc.ok()) {
-      return desc.status();
-    }
-    out.parts.push_back(*desc);
-  }
-  return out;
-}
-
 StatusOr<MapDescriptor> MapRegistry::CreateRingBuf(uint64_t capacity_bytes) {
   if (capacity_bytes < 64 || capacity_bytes > (1ULL << 30)) {
     return InvalidArgument("ring buffer capacity out of range");

@@ -158,28 +158,6 @@ class RingBufMap final : public Map {
   uint64_t dropped_ = 0;
 };
 
-// Placement of a logical map under the sharded dispatcher (docs/sharding.md).
-// RSS-style flow steering guarantees a key only ever reaches one shard, so
-// kPartitioned gives every shard an independent slice (no cross-shard
-// locking on the hot path); kShared keeps one map visible to all shards,
-// serialized by the map's existing internal locking — the fallback for
-// state that is genuinely global (e.g., an all-shards counter).
-enum class MapPartitionMode : uint8_t { kPartitioned = 0, kShared = 1 };
-
-struct PartitionedMapDesc {
-  MapPartitionMode mode = MapPartitionMode::kPartitioned;
-  // kPartitioned: one descriptor per shard; kShared: exactly one, returned
-  // for every shard.
-  std::vector<MapDescriptor> parts;
-
-  const MapDescriptor& ForShard(int shard) const {
-    return mode == MapPartitionMode::kShared
-               ? parts.front()
-               : parts[static_cast<size_t>(shard) % parts.size()];
-  }
-  int num_parts() const { return static_cast<int>(parts.size()); }
-};
-
 class MapRegistry {
  public:
   // Creates a map and returns its descriptor (id assigned by the registry).
@@ -187,13 +165,6 @@ class MapRegistry {
                                       uint64_t max_entries);
   StatusOr<MapDescriptor> CreateHash(uint32_t key_size, uint32_t value_size,
                                      uint64_t max_entries);
-  // Hash-map partitions for the sharded dispatcher: kPartitioned splits
-  // `max_entries` across `partitions` independent maps (each shard's
-  // extension replica is built against its own slice); kShared creates one
-  // map of the full capacity that every shard uses.
-  StatusOr<PartitionedMapDesc> CreateHashPartitions(
-      uint32_t key_size, uint32_t value_size, uint64_t max_entries, int partitions,
-      MapPartitionMode mode = MapPartitionMode::kPartitioned);
   // Ring buffer with `capacity_bytes` of record storage.
   StatusOr<MapDescriptor> CreateRingBuf(uint64_t capacity_bytes);
 

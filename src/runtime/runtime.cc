@@ -70,13 +70,13 @@ StatusOr<ExtensionId> Runtime::Load(const Program& program, const LoadOptions& o
   // Step 1 (Figure 1): kernel-interface compliance via the verifier.
   VerifyOptions vo = options.verify;
   vo.maps = maps_.Descriptors();
-  StatusOr<Analysis> analysis = Verify(program, vo);
-  if (!analysis.ok()) {
-    return analysis.status();
+  StatusOr<Analysis> verified = Verify(program, vo);
+  if (!verified.ok()) {
+    return verified.status();
   }
+  Analysis analysis = std::move(verified).value();
 
   auto ext = std::make_unique<Extension>();
-  ext->analysis = std::move(analysis.value());
 
   // Create the extension heap before instrumentation so Kie can concretize
   // the mapping bases into the code (§4.1).
@@ -113,19 +113,19 @@ StatusOr<ExtensionId> Runtime::Load(const Program& program, const LoadOptions& o
   const GuardPlan* plan = nullptr;
   OptResult opt;
   if (options.optimize) {
-    StatusOr<OptResult> optimized = Optimize(program, ext->analysis);
+    StatusOr<OptResult> optimized = Optimize(program, analysis);
     if (!optimized.ok()) {
       return optimized.status();
     }
     opt = std::move(optimized.value());
-    ext->analysis = opt.analysis;
+    analysis = opt.analysis;
     to_instrument = &opt.program;
     plan = &opt.plan;
   }
 
   // Step 2 (Figure 1): Kie instrumentation.
   StatusOr<InstrumentedProgram> iprog =
-      Instrument(*to_instrument, ext->analysis, layout, options.kie, plan);
+      Instrument(*to_instrument, analysis, layout, options.kie, plan);
   if (!iprog.ok()) {
     return iprog.status();
   }
@@ -136,7 +136,7 @@ StatusOr<ExtensionId> Runtime::Load(const Program& program, const LoadOptions& o
   // The certificate is the load-time gate the sharded dispatcher (ROADMAP
   // item 1) consults; its lock-order edges also feed the cross-extension
   // deadlock audit (LockOrderAudit) and the trace stream.
-  ext->iprog.concurrency = AnalyzeConcurrency(*to_instrument, &ext->analysis);
+  ext->iprog.concurrency = AnalyzeConcurrency(*to_instrument, &analysis);
   for (const LockOrderEdge& edge : ext->iprog.concurrency.edges) {
     KFLEX_TRACE(ObsEvent::kLockOrderEdge, edge.from, edge.to);
   }
@@ -377,12 +377,6 @@ const InstrumentedProgram& Runtime::instrumented(ExtensionId id) const {
   const Extension* ext = Get(id);
   KFLEX_CHECK(ext != nullptr);
   return ext->iprog;
-}
-
-const Analysis& Runtime::analysis(ExtensionId id) const {
-  const Extension* ext = Get(id);
-  KFLEX_CHECK(ext != nullptr);
-  return ext->analysis;
 }
 
 EngineInfo Runtime::engine_info(ExtensionId id) const {

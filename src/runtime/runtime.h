@@ -181,7 +181,6 @@ class Runtime {
   ExtensionHeap* heap(ExtensionId id);
   HeapAllocator* allocator(ExtensionId id);
   const InstrumentedProgram& instrumented(ExtensionId id) const;
-  const Analysis& analysis(ExtensionId id) const;
   EngineInfo engine_info(ExtensionId id) const;
 
   // Static lock-acquisition audit across all live extensions (concurrency.h):
@@ -230,7 +229,6 @@ class Runtime {
  private:
   struct Extension {
     InstrumentedProgram iprog;
-    Analysis analysis;
     ExecEngine engine_requested = ExecEngine::kInterp;
     std::unique_ptr<JitProgram> jit;  // non-null: Invoke runs native code
     std::string jit_fallback;         // why kJit fell back, if it did

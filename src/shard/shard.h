@@ -106,8 +106,8 @@ class ShardedRuntime {
   // a single home-shard instance for serial-only ones.
   StatusOr<ShardExtId> Load(const Program& program, const LoadOptions& options = {});
   // Per-shard program builder for partitioned-map workloads: make(shard) is
-  // loaded as shard's replica (the program typically embeds that shard's
-  // MapRegistry partition id, see MapRegistry::CreateHashPartitions).
+  // loaded as shard's replica (the program typically embeds a map id of
+  // that shard's own).
   // Requires a certificate that permits replication; serial-only programs
   // load only make(home_shard).
   StatusOr<ShardExtId> Load(const std::function<Program(int shard)>& make,

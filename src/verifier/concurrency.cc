@@ -271,12 +271,23 @@ class ConcurrencyAnalyzer {
     ForEachReg(InsnRegEffects(insn).defs, [&](int r) { s.cls[r] = PtrClass::kUnknown; });
   }
 
-  void KillCandidatesUsing(std::array<RmwCandidate, kNumRegs>& rmw, int reg) {
-    for (auto& c : rmw) {
-      if (c.valid && c.base == reg) {
-        c.valid = false;
+  // For every register `insn` writes, the RMW candidates addressed through
+  // it are gone, and so is the one it holds, unless an ALU op modifies that
+  // value in place: the "modify" of a read-modify-write.
+  static void KillCandidates(std::array<RmwCandidate, kNumRegs>& rmw, const Insn& insn) {
+    const bool modifies = insn.IsAlu() && insn.AluOpField() != BPF_MOV;
+    ForEachReg(InsnRegEffects(insn).defs, [&](int r) {
+      for (RmwCandidate& c : rmw) {
+        if (c.valid && c.base == r) {
+          c.valid = false;
+        }
       }
-    }
+      if (modifies) {
+        rmw[r].modified = true;
+      } else {
+        rmw[r].valid = false;
+      }
+    });
   }
 
   ConcState Transfer(const BasicBlock& bb, ConcState s, bool collect) {
@@ -284,6 +295,9 @@ class ConcurrencyAnalyzer {
     for (size_t pc = bb.start; pc < bb.end; pc = cfg_.NextPc(pc)) {
       const Insn& insn = prog_.insns[pc];
       bool unreached = VerifierUnreached(analysis_, pc);
+      if (collect) {
+        KillCandidates(rmw, insn);
+      }
 
       if (insn.IsCall()) {
         const HelperContract* contract = FindHelperContract(insn.imm);
@@ -332,7 +346,6 @@ class ConcurrencyAnalyzer {
         MemRegion region = AccessRegion(analysis_, pc, s.cls[insn.src]);
         if (collect && !unreached) {
           RecordAccess(pc, region, /*atomic=*/false, s.held);
-          KillCandidatesUsing(rmw, insn.dst);
           if ((region == MemRegion::kMapValue || region == MemRegion::kHeap) &&
               s.held.empty() && insn.dst != insn.src) {
             rmw[insn.dst] = {true,       false,    pc,
@@ -349,10 +362,6 @@ class ConcurrencyAnalyzer {
         if (collect && !unreached) {
           MemRegion region = AccessRegion(analysis_, pc, s.cls[insn.dst]);
           RecordAccess(pc, region, /*atomic=*/true, s.held);
-          KillCandidatesUsing(rmw, insn.dst);
-          if (rmw[insn.src].valid) {
-            rmw[insn.src].valid = false;
-          }
         }
         AbsStep(prog_, pc, s.regs);
         ForgetClasses(s, insn);
@@ -387,18 +396,6 @@ class ConcurrencyAnalyzer {
       }
 
       if (insn.IsAlu() || insn.IsLdImm64()) {
-        if (collect) {
-          KillCandidatesUsing(rmw, insn.dst);
-          if (rmw[insn.dst].valid) {
-            bool overwrite = insn.IsLdImm64() ||
-                             (insn.AluOpField() == BPF_MOV && insn.IsAlu());
-            if (overwrite) {
-              rmw[insn.dst].valid = false;
-            } else {
-              rmw[insn.dst].modified = true;
-            }
-          }
-        }
         // Provenance through moves and pointer arithmetic.
         if (insn.IsLdImm64()) {
           s.cls[insn.dst] =

@@ -1,8 +1,11 @@
 // Round-trip property test for the text assembly writer/parser pair.
 //
 // The property: for any program P the Assembler can produce,
-//   ParseTextProgram(ProgramToTextAsm(P)) == P   (instruction-exact), and
-//   ProgramToTextAsm(parse result) re-renders byte for byte.
+//   ParseTextProgram(ProgramToTextAsm(P)) == P   (instruction-exact),
+//   ProgramToTextAsm(parse result) re-renders byte for byte, and
+//   the listing is the same syntax: ParseTextProgram(ProgramToString(P))
+//   has P's instructions, and each non-jump, non-ld_imm64 instruction parses
+//   back from InsnToString(insn) alone.
 // It is checked two ways: a handwritten program exercising every expressible
 // instruction form, and a replay of the exact differential-fuzz corpus (same
 // Rng seed and generator parameters as FuzzDifferential, 1100 programs) so
@@ -13,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/ebpf/assembler.h"
@@ -56,6 +60,30 @@ std::string ExpectRoundTrips(const Program& p) {
   EXPECT_TRUE(text2.ok()) << text2.status().message();
   if (text2.ok()) {
     EXPECT_EQ(*text, *text2) << "writer is not a fixpoint of the parser";
+  }
+
+  const std::string listing = ProgramToString(p);
+  auto from_listing = ParseTextProgram(listing);
+  EXPECT_TRUE(from_listing.ok()) << from_listing.status().message() << "\n--- listing ---\n"
+                                 << listing;
+  if (from_listing.ok()) {
+    EXPECT_EQ(from_listing->insns, p.insns) << "--- listing ---\n" << listing;
+  }
+  for (size_t i = 0; i < p.insns.size(); i++) {
+    const Insn& insn = p.insns[i];
+    if (insn.IsLdImm64()) {
+      i++;  // and its data slot
+      continue;
+    }
+    if (insn.IsCondJmp() || insn.IsUncondJmp()) {
+      continue;
+    }
+    const std::string line = InsnToString(insn);
+    auto one = ParseTextProgram(line);
+    EXPECT_TRUE(one.ok()) << "insn " << i << ": '" << line << "': " << one.status().message();
+    if (one.ok()) {
+      EXPECT_EQ(one->insns, std::vector<Insn>{insn}) << "insn " << i << ": '" << line << "'";
+    }
   }
   return *text;
 }
@@ -161,6 +189,22 @@ TEST(AsmRoundTrip, KieInstrumentationIsNotExpressible) {
   fuel.name = "kie3";
   fuel.insns = {KieFuelCheckInsn(), ExitInsn()};
   EXPECT_FALSE(ProgramToTextAsm(fuel).ok());
+
+  // So is anything whose text would not parse back: an ld_imm64 into a
+  // reserved register, a name `.name` cannot carry.
+  Program reserved;
+  reserved.name = "kie4";
+  reserved.insns = {LdImm64Insn(RAX, 7), LdImm64HiInsn(7), ExitInsn()};
+  EXPECT_FALSE(ProgramToTextAsm(reserved).ok());
+  Program blank;
+  blank.name = " lead";
+  blank.insns = {ExitInsn()};
+  EXPECT_FALSE(ProgramToTextAsm(blank).ok());
+
+  // The listing still shows them, by name.
+  EXPECT_NE(ProgramToString(p).find("sanitize r2"), std::string::npos) << ProgramToString(p);
+  EXPECT_NE(ProgramToString(translate).find("translate r3"), std::string::npos);
+  EXPECT_NE(ProgramToString(fuel).find("fuelcheck"), std::string::npos);
 }
 
 // Replays the exact differential-fuzz corpus (same seed, same generator

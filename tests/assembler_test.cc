@@ -6,6 +6,7 @@
 #include "src/ebpf/helper_ids.h"
 #include "src/ebpf/insn.h"
 #include "src/ebpf/program.h"
+#include "src/ebpf/text_asm.h"
 
 namespace kflex {
 namespace {

@@ -22,6 +22,7 @@
 #include "src/ebpf/assembler.h"
 #include "src/fault/fault.h"
 #include "src/ebpf/helper_ids.h"
+#include "src/ebpf/text_asm.h"
 #include "src/jit/codegen.h"
 #include "src/kernel/kernel.h"
 #include "src/runtime/runtime.h"
@@ -760,7 +761,7 @@ TEST(FuzzRobustness, GarbageBytecodeIsRejectedNotCrashed) {
       ASSERT_TRUE(ip.ok());
       // The JIT must also survive accepted garbage: compile or fall back,
       // never crash. (Unsupported constructs fall back to the interpreter.)
-      JitCompileResult jr = JitCompile(*ip, JitOptions{});
+      JitCompileResult jr = JitCompile(*ip, JitOptions{}, JitCompileEnv{});
       if (jr.program == nullptr) {
         ASSERT_FALSE(jr.fallback_reason.empty());
       }
@@ -768,7 +769,7 @@ TEST(FuzzRobustness, GarbageBytecodeIsRejectedNotCrashed) {
       // compile env here, so helper inlining stays off by construction).
       JitOptions v2;
       v2.v2 = true;
-      JitCompileResult jr2 = JitCompile(*ip, v2);
+      JitCompileResult jr2 = JitCompile(*ip, v2, JitCompileEnv{});
       if (jr2.program == nullptr) {
         ASSERT_FALSE(jr2.fallback_reason.empty());
       }

@@ -8,6 +8,7 @@
 #include "src/base/rng.h"
 #include "src/ebpf/assembler.h"
 #include "src/ebpf/helper_ids.h"
+#include "src/ebpf/text_asm.h"
 #include "src/runtime/heap.h"
 #include "src/runtime/vm.h"
 #include "src/verifier/verifier.h"

@@ -396,6 +396,44 @@ store:
   }
 }
 
+// Mirror of tests/kasm/rmw_atomic_redef.kasm: `r6 = lock_fetch_add` replaces
+// r6 between the map-value load through r6 and the store through r6, so the
+// store is not a read-modify-write of the map value. The unlocked load is a
+// real lockset error.
+TEST(Lint, AtomicResultEndsReadModifyWriteThroughItsRegister) {
+  const char* kSrc = R"(
+.name  rmw_atomic_redef
+.hook  xdp
+.mode  kflex
+.heap  65536
+  r7 = heap 64
+  r1 = map 1
+  *(u32*)(r10 - 4) = 0
+  r2 = r10
+  r2 += -4
+  call bpf_map_lookup_elem
+  if r0 == 0 goto miss
+  r6 = r0
+  r3 = *(u64*)(r6 + 0)
+  r3 += 1
+  r6 = lock_fetch_add *(u64*)(r7 + 8)
+  *(u64*)(r6 + 0) = r3
+miss:
+  r0 = 2
+  exit
+)";
+  auto p = ParseTextProgram(kSrc);
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  VerifyOptions vo;
+  vo.maps.push_back(MapDescriptor{1, 4, 16, 16});
+  auto analysis = Verify(*p, vo);
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+
+  std::vector<Finding> findings = MustLint(*p, &*analysis);
+  EXPECT_EQ(CountPass(findings, "atomicity"), 0u);
+  EXPECT_EQ(CountPass(findings, "lockset", LintSeverity::kError), 1u);
+}
+
 TEST(Lint, WorksWithoutAnalysisOnRejectedProgram) {
   // Verifier rejects this (ref leak), lint must still run and explain why.
   Assembler a;

@@ -18,6 +18,7 @@
 #include "src/base/rng.h"
 #include "src/ebpf/assembler.h"
 #include "src/ebpf/helper_ids.h"
+#include "src/ebpf/text_asm.h"
 #include "src/kie/kie.h"
 #include "src/runtime/runtime.h"
 #include "src/runtime/vm.h"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Line-coverage runner: configures the "coverage" preset (gcov
 # instrumentation), builds, runs the tier-1 suite plus the chaos tier, and
-# prints per-directory line coverage for src/.
+# prints per-directory line coverage for src/, then the src/ functions no
+# test executed a line of (the candidates for deletion).
 #
 # Usage: tools/coverage.sh [extra ctest args...]
 #
@@ -30,9 +31,45 @@ find "${BUILD_DIR}" -name '*.gcda' -delete
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j"${JOBS}" "$@"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j"${JOBS}" -L chaos
 
+# Zero-hit functions: those a src/ translation unit emits (in namespace
+# kflex) with no executed line in any translation unit, from `gcov -f`.
+# An inline function counts as hit if any unit that emits it ran it.
+zero_hit_functions() {
+  echo
+  echo "src/ functions with 0% of lines executed:"
+  {
+    echo "@src"
+    find "${BUILD_DIR}/src" -name '*.gcda' -print0 |
+      xargs -0 -r gcov -f -n -r -s "$(pwd)" 2>/dev/null
+    echo "@other"
+    find "${BUILD_DIR}" -name '*.gcda' -not -path "${BUILD_DIR}/src/*" -print0 |
+      xargs -0 -r gcov -f -n -r -s "$(pwd)" 2>/dev/null
+  } |
+    awk '
+      /^@src/ { in_src = 1; next }
+      /^@other/ { in_src = 0; next }
+      /^Function / {
+        fn = $2
+        gsub(/'\''/, "", fn)
+        if (fn !~ /^_ZZ?NK?5kflex/) fn = ""
+        next
+      }
+      /^File / || /^No executable lines/ { fn = ""; next }
+      /^Lines executed:/ && fn != "" {
+        split($0, parts, /[:% ]+/)
+        if (parts[3] + 0 > 0) hit[fn] = 1
+        if (in_src) emitted[fn] = 1
+        fn = ""
+      }
+      END { for (f in emitted) if (!(f in hit)) print f }' |
+    if command -v c++filt >/dev/null 2>&1; then c++filt; else cat; fi |
+    sort | sed 's/^/  /'
+}
+
 if command -v gcovr >/dev/null 2>&1; then
   gcovr --root . --filter 'src/' --print-summary --sort-percentage \
         "${BUILD_DIR}"
+  zero_hit_functions
   exit 0
 fi
 
@@ -84,3 +121,4 @@ find "${BUILD_DIR}" -name '*.gcda' -print0 |
                total_hit, 100.0 * total_hit / total_lines
       }
     }'
+zero_hit_functions

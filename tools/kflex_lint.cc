@@ -21,7 +21,7 @@
 //   --opt-report  run the bytecode optimizer (src/verifier/opt.h) and report
 //                 per-program Table-3-style statistics: guards elided by range
 //                 analysis vs. by dominance, folded branches, dead stores. With
-//                 --json the report also embeds the instrumented disassembly.
+//                 --json the report also embeds the instrumented listing.
 //   --audit       hybrid contract audit (docs/lint.md): distill every
 //                 contract-* finding into a standalone witness program and
 //                 replay it through the chaos harness on all three engines
@@ -134,7 +134,7 @@ struct FileReport {
   size_t object_table_entries = 0;
   std::vector<Finding> findings;
   // --opt-report payload: optimizer pass counters, post-plan Kie guard
-  // accounting, and the instrumented disassembly (JSON only).
+  // accounting, and the instrumented listing (JSON only).
   bool has_opt = false;
   OptStats opt;
   KieStats kie;
